@@ -39,6 +39,13 @@ describeTrap(const core::Trap &trap)
     return trap.toString();
 }
 
+/** End of 4 KB page 'page' within DRAM (the last may be partial). */
+std::uint64_t
+pageEnd(std::uint64_t page, std::uint64_t dram_bytes)
+{
+    return std::min(dram_bytes, (page + 1) * mem::kCowPageBytes);
+}
+
 } // namespace
 
 Lockstep::Lockstep(core::Machine &machine, LockstepConfig config)
@@ -46,15 +53,23 @@ Lockstep::Lockstep(core::Machine &machine, LockstepConfig config)
       ref_memory_(machine.dram().size()),
       ref_(ref_memory_, machine.pageTable())
 {
-    // Make DRAM and the tag table current, then snapshot them.
+    // Make DRAM and the tag table current, then snapshot them. A
+    // page still on the shared zero page reads as zero, exactly as an
+    // absent RefMemory page does, so only the other pages are copied.
     machine_.memory().flushAll();
     mem::PhysicalMemory &dram = machine_.dram();
     mem::TagTable &tags = machine_.tagTable();
-    for (std::uint64_t paddr = 0; paddr < dram.size();
-         paddr += mem::kLineBytes) {
-        ref_memory_.writeCapLine(
-            paddr, mem::TaggedLine{dram.readLine(paddr),
-                                   tags.get(paddr)});
+    const mem::CowStore &store = machine_.cowStore();
+    for (std::uint64_t page = 0; page < store.pageCount(); ++page) {
+        if (store.isZeroPage(page))
+            continue;
+        for (std::uint64_t paddr = page * mem::kCowPageBytes;
+             paddr < pageEnd(page, dram.size());
+             paddr += mem::kLineBytes) {
+            ref_memory_.writeCapLine(
+                paddr, mem::TaggedLine{dram.readLine(paddr),
+                                       tags.get(paddr)});
+        }
     }
 
     // Snapshot the architectural register state.
@@ -73,9 +88,7 @@ Lockstep::Lockstep(core::Machine &machine, LockstepConfig config)
     trace_.resize(config_.window == 0 ? 1 : config_.window);
     cpu.setTraceHook([this](std::uint64_t pc,
                             const isa::Instruction &inst) {
-        TraceEntry &entry = trace_[trace_next_ % trace_.size()];
-        entry.pc = pc;
-        entry.text = isa::disassemble(inst);
+        trace_[trace_next_ % trace_.size()] = TraceEntry{pc, inst};
         ++trace_next_;
     });
 }
@@ -100,7 +113,8 @@ Lockstep::windowText() const
         std::min<std::uint64_t>(trace_next_, trace_.size());
     for (std::uint64_t i = trace_next_ - count; i < trace_next_; ++i) {
         const TraceEntry &entry = trace_[i % trace_.size()];
-        out += "    " + hex(entry.pc) + ": " + entry.text + "\n";
+        out += "    " + hex(entry.pc) + ": " +
+               isa::disassemble(entry.inst) + "\n";
     }
     return out;
 }
@@ -183,18 +197,34 @@ Lockstep::finalSweep(std::string &out)
     machine_.memory().flushAll();
     mem::PhysicalMemory &dram = machine_.dram();
     mem::TagTable &tags = machine_.tagTable();
-    for (std::uint64_t paddr = 0; paddr < dram.size();
-         paddr += mem::kLineBytes) {
-        mem::Line fast = dram.readLine(paddr);
-        bool fast_tag = tags.get(paddr);
-        if (fast != ref_memory_.lineData(paddr) ||
-            fast_tag != ref_memory_.lineTag(paddr)) {
-            out = "final sweep: memory line " + hex(paddr) +
-                  ": fast=" + lineHex(fast) +
-                  (fast_tag ? " tag=1" : " tag=0") +
-                  " ref=" + lineHex(ref_memory_.lineData(paddr)) +
-                  (ref_memory_.lineTag(paddr) ? " tag=1" : " tag=0");
-            return false;
+    const mem::CowStore &store = machine_.cowStore();
+    // The skip below rests on the zero page reading as zero.
+    static const mem::CowPage kZeroPage{};
+    if (store.zeroPage().data != kZeroPage.data ||
+        store.zeroPage().tags != kZeroPage.tags) {
+        out = "final sweep: the fast machine's shared zero page is not "
+              "zero";
+        return false;
+    }
+    for (std::uint64_t page = 0; page < store.pageCount(); ++page) {
+        // Both sides read as zero: the fast slot is the zero page and
+        // the reference never wrote to the page.
+        if (store.isZeroPage(page) && !ref_memory_.pageAllocated(page))
+            continue;
+        for (std::uint64_t paddr = page * mem::kCowPageBytes;
+             paddr < pageEnd(page, dram.size());
+             paddr += mem::kLineBytes) {
+            mem::Line fast = dram.readLine(paddr);
+            bool fast_tag = tags.get(paddr);
+            mem::TaggedLine ref = ref_memory_.readCapLine(paddr);
+            if (fast != ref.data || fast_tag != ref.tag) {
+                out = "final sweep: memory line " + hex(paddr) +
+                      ": fast=" + lineHex(fast) +
+                      (fast_tag ? " tag=1" : " tag=0") +
+                      " ref=" + lineHex(ref.data) +
+                      (ref.tag ? " tag=1" : " tag=0");
+                return false;
+            }
         }
     }
     return true;

@@ -84,6 +84,12 @@ struct LockstepResult
  * loaded, reset machine and call run(). The driver temporarily
  * installs itself as the hierarchy's StoreObserver and the Cpu's trace
  * hook; both are restored on destruction.
+ *
+ * Memory work scales with the pages a run can have changed: set-up
+ * copies only pages the fast machine's CowStore no longer shares with
+ * its zero page, and the final sweep skips a page only when the fast
+ * slot is still the zero page (whose content the sweep checks first)
+ * and the reference never wrote to it — both sides then read as zero.
  */
 class Lockstep : private cache::StoreObserver
 {
@@ -128,7 +134,10 @@ class Lockstep : private cache::StoreObserver
     bool compareLines(const std::vector<std::uint64_t> &lines,
                       std::string &out);
 
-    /** Flush the fast machine and diff every DRAM line + tag. */
+    /**
+     * Flush the fast machine and diff every DRAM line + tag, skipping
+     * pages both sides provably read as zero (see the class comment).
+     */
     bool finalSweep(std::string &out);
 
     /** Render the ring buffer of recently fetched instructions. */
@@ -145,10 +154,11 @@ class Lockstep : private cache::StoreObserver
     /** Lines the fast CPU stored to in the current round. */
     std::vector<std::uint64_t> cpu_lines_;
 
+    /** Disassembled only when a report renders the window. */
     struct TraceEntry
     {
         std::uint64_t pc = 0;
-        std::string text;
+        isa::Instruction inst;
     };
     std::vector<TraceEntry> trace_; ///< ring buffer, size config.window
     std::uint64_t trace_next_ = 0;

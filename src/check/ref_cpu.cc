@@ -17,80 +17,116 @@ using support::signExtend;
 // RefMemory
 // ---------------------------------------------------------------------
 
-RefMemory::RefMemory(std::uint64_t size_bytes)
-    : data_(size_bytes, 0), tags_(size_bytes / mem::kLineBytes, 0)
+namespace
 {
+
+/** Byte offset of paddr within its 4 KB page. */
+std::uint64_t
+pageOffset(std::uint64_t paddr)
+{
+    return paddr % mem::kCowPageBytes;
+}
+
+/** Index of paddr's line within its 4 KB page. */
+std::uint64_t
+lineInPage(std::uint64_t paddr)
+{
+    return pageOffset(paddr) / mem::kLineBytes;
+}
+
+} // namespace
+
+RefMemory::RefMemory(std::uint64_t size_bytes)
+    : size_(size_bytes),
+      pages_((size_bytes + mem::kCowPageBytes - 1) / mem::kCowPageBytes)
+{
+}
+
+void
+RefMemory::checkAccess(const char *what, std::uint64_t paddr,
+                       std::uint64_t len) const
+{
+    if (paddr >= size_ || len > size_ - paddr ||
+        paddr % mem::kLineBytes + len > mem::kLineBytes) {
+        support::panic("RefMemory %s [0x%llx, +%llu) out of range", what,
+                       static_cast<unsigned long long>(paddr),
+                       static_cast<unsigned long long>(len));
+    }
+}
+
+RefMemory::Page &
+RefMemory::pageForWrite(std::uint64_t paddr)
+{
+    std::unique_ptr<Page> &page = pages_[paddr / mem::kCowPageBytes];
+    if (!page)
+        page = std::make_unique<Page>();
+    return *page;
 }
 
 std::uint64_t
 RefMemory::read(std::uint64_t paddr, unsigned size) const
 {
-    if (paddr + size > data_.size())
-        support::panic("RefMemory read [0x%llx, +%u) out of range",
-                       static_cast<unsigned long long>(paddr), size);
+    checkAccess("read", paddr, size);
+    const Page *page = pageAt(paddr);
+    if (!page)
+        return 0;
     std::uint64_t value = 0;
-    for (unsigned i = 0; i < size; ++i)
-        value |= static_cast<std::uint64_t>(data_[paddr + i]) << (8 * i);
+    for (unsigned i = 0; i < size; ++i) {
+        value |= static_cast<std::uint64_t>(
+                     page->data[pageOffset(paddr) + i])
+                 << (8 * i);
+    }
     return value;
 }
 
 void
 RefMemory::write(std::uint64_t paddr, unsigned size, std::uint64_t value)
 {
-    if (paddr + size > data_.size())
-        support::panic("RefMemory write [0x%llx, +%u) out of range",
-                       static_cast<unsigned long long>(paddr), size);
-    for (unsigned i = 0; i < size; ++i)
-        data_[paddr + i] = static_cast<std::uint8_t>(value >> (8 * i));
-    tags_[lineIndex(paddr)] = 0; // data store clears the tag
+    checkAccess("write", paddr, size);
+    Page &page = pageForWrite(paddr);
+    for (unsigned i = 0; i < size; ++i) {
+        page.data[pageOffset(paddr) + i] =
+            static_cast<std::uint8_t>(value >> (8 * i));
+    }
+    page.tags[lineInPage(paddr)] = false; // data store clears the tag
 }
 
 mem::TaggedLine
 RefMemory::readCapLine(std::uint64_t paddr) const
 {
-    std::uint64_t line_addr = paddr & ~(mem::kLineBytes - 1);
-    mem::TaggedLine line;
-    for (unsigned i = 0; i < mem::kLineBytes; ++i)
-        line.data[i] = data_[line_addr + i];
-    line.tag = tags_[lineIndex(paddr)] != 0;
+    checkAccess("line read", paddr, 1);
+    mem::TaggedLine line{};
+    if (const Page *page = pageAt(paddr)) {
+        std::uint64_t line_offset =
+            pageOffset(paddr) & ~(mem::kLineBytes - 1);
+        for (unsigned i = 0; i < mem::kLineBytes; ++i)
+            line.data[i] = page->data[line_offset + i];
+        line.tag = page->tags[lineInPage(paddr)];
+    }
     return line;
 }
 
 void
 RefMemory::writeCapLine(std::uint64_t paddr, const mem::TaggedLine &line)
 {
-    std::uint64_t line_addr = paddr & ~(mem::kLineBytes - 1);
+    checkAccess("line write", paddr, 1);
+    Page &page = pageForWrite(paddr);
+    std::uint64_t line_offset = pageOffset(paddr) & ~(mem::kLineBytes - 1);
     for (unsigned i = 0; i < mem::kLineBytes; ++i)
-        data_[line_addr + i] = line.data[i];
-    tags_[lineIndex(paddr)] = line.tag ? 1 : 0;
-}
-
-bool
-RefMemory::lineTag(std::uint64_t paddr) const
-{
-    return tags_[lineIndex(paddr)] != 0;
-}
-
-mem::Line
-RefMemory::lineData(std::uint64_t paddr) const
-{
-    std::uint64_t line_addr = paddr & ~(mem::kLineBytes - 1);
-    mem::Line line;
-    for (unsigned i = 0; i < mem::kLineBytes; ++i)
-        line[i] = data_[line_addr + i];
-    return line;
+        page.data[line_offset + i] = line.data[i];
+    page.tags[lineInPage(paddr)] = line.tag;
 }
 
 void
 RefMemory::writeBlock(std::uint64_t paddr, const std::uint8_t *src,
                       std::uint64_t len)
 {
-    if (paddr + len > data_.size())
+    if (paddr > size_ || len > size_ - paddr)
         support::panic("RefMemory block [0x%llx, +%llu) out of range",
                        static_cast<unsigned long long>(paddr),
                        static_cast<unsigned long long>(len));
     for (std::uint64_t i = 0; i < len; ++i)
-        data_[paddr + i] = src[i];
+        pageForWrite(paddr + i).data[pageOffset(paddr + i)] = src[i];
 }
 
 // ---------------------------------------------------------------------

@@ -2,8 +2,8 @@
  * @file
  * The co-simulation reference interpreter. RefCpu re-implements the
  * architectural semantics of the emulated CHERI machine in the most
- * direct style possible — flat tagged memory, a page-table walk per
- * access, decode-every-fetch, no caches, no timing, no fast paths —
+ * direct style possible — uncached tagged memory, a page-table walk
+ * per access, decode-every-fetch, no caches, no timing, no fast paths —
  * so that the optimized Cpu (predecode cache, TLB memos, cached PCC
  * window, tag-carrying cache hierarchy) can be checked against it
  * instruction by instruction. Any observable difference between the
@@ -24,12 +24,14 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cap/cap_ops.h"
 #include "cap/reg_file.h"
 #include "core/exceptions.h"
 #include "isa/isa.h"
+#include "mem/cow_store.h"
 #include "mem/tag_manager.h"
 #include "tlb/tlb.h"
 
@@ -37,19 +39,32 @@ namespace cheri::check
 {
 
 /**
- * Flat tagged physical memory: one byte array plus one tag bit per
- * 32-byte line, with the CHERI store semantics applied directly — a
- * data write clears the containing line's tag, a capability write
- * sets it from the stored capability. This is the reference model
- * the whole cache hierarchy + tag manager + tag table stack must be
- * observationally equivalent to.
+ * Tagged physical memory: bytes plus one tag bit per 32-byte line,
+ * with the CHERI store semantics applied directly — a data write
+ * clears the containing line's tag, a capability write sets it from
+ * the stored capability. This is the reference model the whole cache
+ * hierarchy + tag manager + tag table stack must be observationally
+ * equivalent to.
+ *
+ * Storage is a vector of private 4 KB pages (the COW granule, so page
+ * indices match the fast machine's CowStore), allocated on first
+ * write and read as zero while absent. No page is ever shared with
+ * the fast machine, so a copy-on-write bug there cannot hide here.
+ * Every access except the loader's writeBlock lies within one line;
+ * all of them panic when out of range.
  */
 class RefMemory
 {
   public:
     explicit RefMemory(std::uint64_t size_bytes);
 
-    std::uint64_t size() const { return data_.size(); }
+    std::uint64_t size() const { return size_; }
+
+    /** True once any write has landed in 4 KB page 'page_index'. */
+    bool pageAllocated(std::uint64_t page_index) const
+    {
+        return pages_[page_index] != nullptr;
+    }
 
     /** Little-endian read of 1/2/4/8 bytes (tag-oblivious). */
     std::uint64_t read(std::uint64_t paddr, unsigned size) const;
@@ -64,23 +79,34 @@ class RefMemory
     void writeCapLine(std::uint64_t paddr, const mem::TaggedLine &line);
 
     /** Tag of the line containing paddr. */
-    bool lineTag(std::uint64_t paddr) const;
-
-    /** Raw bytes of the aligned line containing paddr. */
-    mem::Line lineData(std::uint64_t paddr) const;
+    bool lineTag(std::uint64_t paddr) const
+    {
+        return readCapLine(paddr).tag;
+    }
 
     /** Loader helper: copy bytes in without touching tags. */
     void writeBlock(std::uint64_t paddr, const std::uint8_t *src,
                     std::uint64_t len);
 
   private:
-    std::uint64_t lineIndex(std::uint64_t paddr) const
+    struct Page
     {
-        return paddr / mem::kLineBytes;
-    }
+        std::array<std::uint8_t, mem::kCowPageBytes> data{};
+        std::array<bool, mem::kCowPageLines> tags{}; ///< one per line
+    };
 
-    std::vector<std::uint8_t> data_;
-    std::vector<std::uint8_t> tags_; ///< one entry per line
+    /** Panics unless [paddr, +len) is in range and within one line. */
+    void checkAccess(const char *what, std::uint64_t paddr,
+                     std::uint64_t len) const;
+    /** The page holding paddr, or nullptr while it reads as zero. */
+    const Page *pageAt(std::uint64_t paddr) const
+    {
+        return pages_[paddr / mem::kCowPageBytes].get();
+    }
+    Page &pageForWrite(std::uint64_t paddr);
+
+    std::uint64_t size_;
+    std::vector<std::unique_ptr<Page>> pages_;
 };
 
 /** Outcome of one RefCpu::step. */

@@ -131,8 +131,7 @@ Machine::Snapshot
 Machine::saveSnapshot() const
 {
     Snapshot snapshot;
-    snapshot.dram = dram_.save();
-    snapshot.tags = tags_.save();
+    snapshot.memory = store_->fork();
     snapshot.tag_manager = tag_manager_.save();
     snapshot.caches = hierarchy_.save();
     snapshot.page_table = page_table_.save();
@@ -145,8 +144,7 @@ Machine::saveSnapshot() const
 void
 Machine::restoreSnapshot(const Snapshot &snapshot)
 {
-    dram_.restore(snapshot.dram);
-    tags_.restore(snapshot.tags);
+    store_->adopt(*snapshot.memory);
     tag_manager_.restore(snapshot.tag_manager);
     hierarchy_.restore(snapshot.caches);
     page_table_.restore(snapshot.page_table);

@@ -107,18 +107,21 @@ class Machine
      * A full-machine checkpoint: every layer's simulated state (DRAM
      * bytes, tag table, tag cache, all three caches with dirty lines
      * and LRU, DRAM open-row state, TLB, page table, CPU core state)
-     * plus every statistics counter — an exact deep copy. Nothing is
-     * flushed or invalidated on save, so a restored machine replays
-     * the identical transaction, hit/miss, and cycle sequence the
-     * original would have from the checkpoint; host-only accelerators
-     * (decode cache, fetch/data memos) are dropped on restore and
-     * re-mint through effect-identical slow paths. Snapshots are only
-     * valid for machines of the identical MachineConfig.
+     * plus every statistics counter. DRAM and the tag table are held
+     * as an exact COW image: a frozen CowStore::fork() that shares
+     * every page with the machine, so saving and restoring cost
+     * O(page count) and untouched pages stay on the shared zero page.
+     * Nothing is flushed or invalidated on save, so a restored machine
+     * replays the identical transaction, hit/miss, and cycle sequence
+     * the original would have from the checkpoint; host-only
+     * accelerators (decode cache, fetch/data memos) are dropped on
+     * restore and re-mint through effect-identical slow paths.
+     * Snapshots are only valid for machines of the identical
+     * MachineConfig.
      */
     struct Snapshot
     {
-        mem::PhysicalMemory::Snapshot dram;
-        mem::TagTable::Snapshot tags;
+        std::shared_ptr<const mem::CowStore> memory;
         mem::TagManager::Snapshot tag_manager;
         cache::CacheHierarchy::Snapshot caches;
         tlb::PageTable::Snapshot page_table;
@@ -157,7 +160,7 @@ class Machine
      */
     std::unique_ptr<Machine> fork() const;
 
-    /** COW metrics for this machine's backing store. */
+    /** This machine's backing store: COW metrics and zero-page slots. */
     const mem::CowStore &cowStore() const { return *store_; }
 
   private:

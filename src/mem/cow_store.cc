@@ -20,13 +20,13 @@ CowStore::CowStore(std::uint64_t size_bytes)
     std::uint64_t pages = (size_bytes + kCowPageBytes - 1) / kCowPageBytes;
     // Every fresh slot shares one zero page, so a new store (and the
     // first machine built over it) is O(page count), not O(bytes).
-    std::shared_ptr<CowPage> zero = std::make_shared<CowPage>();
-    pages_.assign(pages, zero);
+    zero_ = std::make_shared<CowPage>();
+    pages_.assign(pages, zero_);
 }
 
 CowStore::CowStore(const CowStore &parent, ForkTag)
     : size_bytes_(parent.size_bytes_), line_count_(parent.line_count_),
-      pages_(parent.pages_)
+      zero_(parent.zero_), pages_(parent.pages_)
 {
 }
 
@@ -34,6 +34,19 @@ std::shared_ptr<CowStore>
 CowStore::fork() const
 {
     return std::shared_ptr<CowStore>(new CowStore(*this, ForkTag{}));
+}
+
+void
+CowStore::adopt(const CowStore &image)
+{
+    if (image.size_bytes_ != size_bytes_) {
+        support::panic("COW image of 0x%llx bytes does not match "
+                       "configured size 0x%llx",
+                       static_cast<unsigned long long>(image.size_bytes_),
+                       static_cast<unsigned long long>(size_bytes_));
+    }
+    zero_ = image.zero_;
+    pages_ = image.pages_;
 }
 
 void
@@ -53,10 +66,11 @@ CowStore::pageForWrite(std::uint64_t page_index)
 {
     std::shared_ptr<CowPage> &slot = pages_[page_index];
     if (slot.use_count() != 1) {
-        // The page is visible from another store (or is the initial
-        // zero page): clone data + tag slice together, then write the
-        // private copy. Shared pages are never mutated in place, so
-        // this is safe against sibling stores on other threads.
+        // The page is visible from another store (or is the zero
+        // page, which zero_ keeps shared): clone data + tag slice
+        // together, then write the private copy. Shared pages are
+        // never mutated in place, so this is safe against sibling
+        // stores on other threads.
         slot = std::make_shared<CowPage>(*slot);
         ++cow_faults_;
     }
@@ -153,51 +167,6 @@ CowStore::tagPopCount() const
             page(w / kCowPageTagWords).tags[w % kCowPageTagWords]));
     }
     return n;
-}
-
-std::vector<std::uint8_t>
-CowStore::flattenData() const
-{
-    std::vector<std::uint8_t> out(size_bytes_);
-    readBytes(0, out.data(), size_bytes_);
-    return out;
-}
-
-std::vector<std::uint64_t>
-CowStore::flattenTags() const
-{
-    std::uint64_t words = tagWordCount();
-    std::vector<std::uint64_t> out(words);
-    for (std::uint64_t w = 0; w < words; ++w)
-        out[w] = page(w / kCowPageTagWords).tags[w % kCowPageTagWords];
-    return out;
-}
-
-void
-CowStore::assignData(const std::vector<std::uint8_t> &data)
-{
-    if (data.size() != size_bytes_) {
-        support::panic("DRAM snapshot size 0x%llx does not match "
-                       "configured size 0x%llx",
-                       static_cast<unsigned long long>(data.size()),
-                       static_cast<unsigned long long>(size_bytes_));
-    }
-    writeBytes(0, data.data(), data.size());
-}
-
-void
-CowStore::assignTags(const std::vector<std::uint64_t> &bits)
-{
-    if (bits.size() != tagWordCount()) {
-        support::panic("tag-table snapshot covers %llu words, table "
-                       "has %llu",
-                       static_cast<unsigned long long>(bits.size()),
-                       static_cast<unsigned long long>(tagWordCount()));
-    }
-    for (std::uint64_t w = 0; w < bits.size(); ++w) {
-        std::uint64_t slot = w % kCowPageTagWords;
-        pageForWrite(w / kCowPageTagWords).tags[slot] = bits[w];
-    }
 }
 
 std::uint64_t

@@ -12,7 +12,11 @@
  * (O(page count) atomic increments); a write to a page whose
  * reference is shared clones it first (a "COW fault"). Fresh stores
  * point every slot at one zero page, so construction is O(page
- * count) too and an idle forked guest costs ~8 bytes per page.
+ * count) too and an idle forked guest costs ~8 bytes per page. The
+ * store itself holds a reference to its zero page, so that page is
+ * always shared, is never written in place, and stays all-zero for
+ * every store forked from this one: a slot still pointing at it
+ * (isZeroPage) is known to read as zero without looking at its bytes.
  *
  * Thread-safety: pages reachable from more than one store are never
  * written in place (the use_count()==1 test), so concurrent guests
@@ -84,6 +88,22 @@ class CowStore
      */
     std::shared_ptr<CowStore> fork() const;
 
+    /**
+     * Make this store share every page of 'image' (typically a
+     * frozen fork kept as a checkpoint): O(page count), no data
+     * moves. The sizes must match. The COW fault count is kept.
+     */
+    void adopt(const CowStore &image);
+
+    /** True while page slot i still points at the shared zero page. */
+    bool isZeroPage(std::uint64_t page_index) const
+    {
+        return pages_[page_index] == zero_;
+    }
+
+    /** The shared zero page (all-zero unless something bypassed COW). */
+    const CowPage &zeroPage() const { return *zero_; }
+
     /** Read one byte. */
     std::uint8_t readByte(std::uint64_t paddr) const;
     /** Write one byte (may COW-fault its page). */
@@ -101,15 +121,6 @@ class CowStore
     void tagSet(std::uint64_t line_index, bool tag);
     /** Count of set tags across the store. */
     std::uint64_t tagPopCount() const;
-
-    /** Flatten the data plane (deep snapshots). */
-    std::vector<std::uint8_t> flattenData() const;
-    /** Flatten the tag plane as tagWordCount() words. */
-    std::vector<std::uint64_t> flattenTags() const;
-    /** Overwrite the data plane from a sizeBytes()-byte image. */
-    void assignData(const std::vector<std::uint8_t> &data);
-    /** Overwrite the tag plane from a tagWordCount()-word bitmap. */
-    void assignTags(const std::vector<std::uint64_t> &bits);
 
     /**
      * Pages this store has had to clone on write since construction
@@ -137,6 +148,8 @@ class CowStore
 
     std::uint64_t size_bytes_;
     std::uint64_t line_count_;
+    /** Held here too, so a slot pointing at it is never unique. */
+    std::shared_ptr<CowPage> zero_;
     std::vector<std::shared_ptr<CowPage>> pages_;
     std::uint64_t cow_faults_ = 0;
 };

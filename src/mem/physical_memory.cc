@@ -77,10 +77,4 @@ PhysicalMemory::writeBlock(std::uint64_t paddr, const std::uint8_t *src,
     store_->writeBytes(paddr, src, len);
 }
 
-void
-PhysicalMemory::restore(const Snapshot &snapshot)
-{
-    store_->assignData(snapshot.data);
-}
-
 } // namespace cheri::mem

@@ -19,7 +19,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "mem/cow_store.h"
 
@@ -71,18 +70,6 @@ class PhysicalMemory
     /** Copy a block of bytes into DRAM (loader use). */
     void writeBlock(std::uint64_t paddr, const std::uint8_t *src,
                     std::uint64_t len);
-
-    /** Full DRAM image, captured for machine checkpointing. */
-    struct Snapshot
-    {
-        std::vector<std::uint8_t> data;
-    };
-
-    /** Capture the full DRAM image (flattens the COW pages). */
-    Snapshot save() const { return Snapshot{store_->flattenData()}; }
-
-    /** Restore a captured image; the size must match this DRAM. */
-    void restore(const Snapshot &snapshot);
 
     /** The backing store (Machine::fork shares it with children). */
     const std::shared_ptr<CowStore> &store() const { return store_; }

@@ -40,10 +40,4 @@ TagTable::set(std::uint64_t paddr, bool tag)
     store_->tagSet(lineIndex(paddr), tag);
 }
 
-void
-TagTable::restore(const Snapshot &snapshot)
-{
-    store_->assignTags(snapshot.bits);
-}
-
 } // namespace cheri::mem

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "mem/cow_store.h"
 #include "mem/physical_memory.h"
@@ -59,18 +58,6 @@ class TagTable
     {
         return (paddr / kLineBytes) / 8;
     }
-
-    /** Full tag bitmap, captured for machine checkpointing. */
-    struct Snapshot
-    {
-        std::vector<std::uint64_t> bits;
-    };
-
-    /** Capture the full tag bitmap (flattens the COW pages). */
-    Snapshot save() const { return Snapshot{store_->flattenTags()}; }
-
-    /** Restore a captured bitmap; the size must match this table. */
-    void restore(const Snapshot &snapshot);
 
   private:
     std::uint64_t lineIndex(std::uint64_t paddr) const;

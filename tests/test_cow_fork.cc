@@ -1,17 +1,20 @@
 /**
  * @file
  * Copy-on-write fork correctness. Machine::fork() must be an exact
- * clone of the simulated state (differential against a deep
- * snapshot-restore clone, across kernels and host fast-path modes),
- * siblings must be fully isolated (randomized interleaved writes in
- * K forks swept against per-fork models over every DRAM byte and tag
- * bit), fork must chain (fork-of-fork sees ancestor writes made
- * before its mint, never after), and the COW accounting
- * (CowStore::cowFaults / sharedPages) must tick exactly on first
- * writes. The harness fork modes ride on the same substrate, so the
+ * clone of the simulated state (differential against a fresh
+ * machine restored from a snapshot, across kernels and host
+ * fast-path modes), siblings must be fully isolated (randomized
+ * interleaved writes in K forks swept against per-fork models over
+ * every DRAM line and tag), fork must chain (fork-of-fork sees
+ * ancestor writes made before its mint, never after), the COW
+ * accounting (CowStore::cowFaults / sharedPages) must tick exactly on
+ * first writes, and the shared zero page must never be written in
+ * place. The harness fork modes ride on the same substrate, so the
  * campaign and fuzz reports must be byte-identical with forks on.
  */
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -80,6 +83,32 @@ allCounters(core::Machine &machine)
     for (const auto &entry : machine.tagManager().stats().all())
         out.push_back(entry);
     return out;
+}
+
+/** One DRAM line of a machine, with its tag. */
+mem::TaggedLine
+taggedLine(core::Machine &machine, std::uint64_t paddr)
+{
+    return {machine.dram().readLine(paddr), machine.tagTable().get(paddr)};
+}
+
+/**
+ * Compare all of a machine's DRAM, line by line and tags included,
+ * with expect(paddr). Returns the first mismatching line as a
+ * message, or "" when every line matches.
+ */
+template <typename Expect>
+std::string
+dramMismatch(core::Machine &machine, Expect &&expect)
+{
+    for (std::uint64_t paddr = 0; paddr < machine.dram().size();
+         paddr += mem::kLineBytes) {
+        mem::TaggedLine got = taggedLine(machine, paddr);
+        mem::TaggedLine want = expect(paddr);
+        if (got.data != want.data || got.tag != want.tag)
+            return "DRAM line " + std::to_string(paddr) + " differs";
+    }
+    return "";
 }
 
 // --- CowStore unit behaviour -----------------------------------------
@@ -151,6 +180,55 @@ TEST(CowStore, ForkIsolatesWritesBothWays)
     EXPECT_TRUE(parent.tagGet(0));
 }
 
+TEST(CowStore, ZeroPageIsNeverWrittenInPlace)
+{
+    // Once every other slot has gone private, the last slot on the
+    // zero page is its only slot reference; a write must still clone.
+    for (std::uint64_t pages : {1u, 3u}) {
+        mem::CowStore store(pages * mem::kCowPageBytes);
+        for (std::uint64_t p = 0; p < pages; ++p) {
+            ASSERT_TRUE(store.isZeroPage(p));
+            store.writeByte(p * mem::kCowPageBytes + 9, 0x5a);
+            store.tagSet(p * mem::kCowPageLines, true);
+            EXPECT_FALSE(store.isZeroPage(p));
+        }
+        EXPECT_EQ(store.cowFaults(), pages);
+        const mem::CowPage zero{};
+        EXPECT_EQ(store.zeroPage().data, zero.data);
+        EXPECT_EQ(store.zeroPage().tags, zero.tags);
+        EXPECT_EQ(store.readByte(9), 0x5au);
+    }
+}
+
+TEST(MachineFork, ForkAndRestoreKeepUntouchedSlotsOnTheZeroPage)
+{
+    core::Machine parent(smallConfig());
+    const std::uint64_t written = 3, untouched = 5, later = 7;
+    parent.dram().writeByte(written * mem::kCowPageBytes, 1);
+    std::unique_ptr<core::Machine> child = parent.fork();
+    EXPECT_TRUE(child->cowStore().isZeroPage(untouched));
+    EXPECT_FALSE(child->cowStore().isZeroPage(written));
+
+    core::Machine::Snapshot snapshot = parent.saveSnapshot();
+    parent.dram().writeByte(later * mem::kCowPageBytes, 2);
+    parent.tagTable().set(untouched * mem::kCowPageBytes, true);
+    EXPECT_FALSE(parent.cowStore().isZeroPage(later));
+    parent.restoreSnapshot(snapshot);
+    EXPECT_TRUE(parent.cowStore().isZeroPage(untouched));
+    EXPECT_TRUE(parent.cowStore().isZeroPage(later));
+    EXPECT_FALSE(parent.cowStore().isZeroPage(written));
+    EXPECT_EQ(parent.dram().readByte(later * mem::kCowPageBytes), 0u);
+    EXPECT_EQ(parent.dram().readByte(written * mem::kCowPageBytes), 1u);
+    EXPECT_FALSE(parent.tagTable().get(untouched * mem::kCowPageBytes));
+
+    // A machine restored from another machine's snapshot adopts that
+    // machine's zero page too.
+    core::Machine restored(smallConfig());
+    restored.restoreSnapshot(snapshot);
+    EXPECT_TRUE(restored.cowStore().isZeroPage(untouched));
+    EXPECT_FALSE(restored.cowStore().isZeroPage(written));
+}
+
 // --- Machine::fork basics --------------------------------------------
 
 TEST(MachineFork, ChildStartsWithZeroCowFaults)
@@ -203,7 +281,7 @@ TEST(MachineFork, ForkChainSeesAncestorWritesNotDescendants)
         EXPECT_EQ(chain[i]->dram().readByte(0), 1u);
 }
 
-// --- fork vs deep clone differential ---------------------------------
+// --- fork vs snapshot clone differential -----------------------------
 
 class ForkVsClone
     : public ::testing::TestWithParam<
@@ -225,8 +303,9 @@ TEST_P(ForkVsClone, ForkedRunMatchesDeepCloneBitForBit)
     ASSERT_EQ(parent.cpu().run(warm).reason,
               core::StopReason::kInstLimit);
 
-    // Deep clone: fresh machine + full snapshot restore (+ the host
-    // toggles, which are mode, not state, and thus not in snapshots).
+    // Snapshot clone: fresh machine + full snapshot restore (+ the
+    // host toggles, which are mode, not state, and thus not in
+    // snapshots).
     core::Machine clone(parent.config());
     clone.restoreSnapshot(parent.saveSnapshot());
     setFastPaths(clone, fast, superblocks);
@@ -239,11 +318,11 @@ TEST_P(ForkVsClone, ForkedRunMatchesDeepCloneBitForBit)
     ASSERT_EQ(fork_done.reason, core::StopReason::kBreak);
     EXPECT_EQ(fork->cpu().gpr(isa::reg::v0), prog.expected_checksum);
     EXPECT_EQ(allCounters(*fork), allCounters(clone));
-
-    core::Machine::Snapshot a = fork->saveSnapshot();
-    core::Machine::Snapshot b = clone.saveSnapshot();
-    EXPECT_EQ(a.dram.data, b.dram.data);
-    EXPECT_EQ(a.tags.bits, b.tags.bits);
+    EXPECT_EQ(dramMismatch(*fork,
+                           [&](std::uint64_t paddr) {
+                               return taggedLine(clone, paddr);
+                           }),
+              "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -264,18 +343,31 @@ TEST(MachineFork, SiblingWritesAreInvisibleToEachOther)
     config.dram_bytes = kDram;
     core::Machine parent(config);
 
-    // Seed the parent with a nonzero background pattern.
+    // Seed the parent with a nonzero background pattern, modelled
+    // independently of the COW store.
+    std::vector<std::uint8_t> base_bytes(kDram);
+    std::vector<bool> base_tags(kDram / mem::kLineBytes);
     support::Xoshiro256 seed_rng(7);
     for (int i = 0; i < 512; ++i) {
-        parent.dram().writeByte(seed_rng.next() % kDram,
-                                static_cast<std::uint8_t>(
-                                    seed_rng.next()));
-        parent.tagTable().set((seed_rng.next() % kDram) &
-                                  ~(mem::kLineBytes - 1),
-                              true);
+        std::uint64_t addr = seed_rng.next() % kDram;
+        auto value = static_cast<std::uint8_t>(seed_rng.next());
+        parent.dram().writeByte(addr, value);
+        base_bytes[addr] = value;
+        std::uint64_t line = (seed_rng.next() % kDram) &
+                             ~(mem::kLineBytes - 1);
+        parent.tagTable().set(line, true);
+        base_tags[line / mem::kLineBytes] = true;
     }
-    mem::PhysicalMemory::Snapshot base_bytes = parent.dram().save();
-    mem::TagTable::Snapshot base_tags = parent.tagTable().save();
+    // Expected line 'paddr' of a machine holding these bytes and tags.
+    auto modelLine = [](const std::vector<std::uint8_t> &bytes,
+                        const std::vector<bool> &tags,
+                        std::uint64_t paddr) {
+        mem::TaggedLine line;
+        std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(paddr),
+                    mem::kLineBytes, line.data.begin());
+        line.tag = tags[paddr / mem::kLineBytes];
+        return line;
+    };
 
     std::vector<std::unique_ptr<core::Machine>> siblings;
     for (int s = 0; s < kSiblings; ++s)
@@ -300,28 +392,28 @@ TEST(MachineFork, SiblingWritesAreInvisibleToEachOther)
         tag_model[s][line] = tag;
     }
 
-    // Exit sweep: every DRAM byte and every tag bit, all siblings
-    // and the parent, against base-pattern-plus-own-model.
-    EXPECT_EQ(parent.dram().save().data, base_bytes.data);
-    EXPECT_EQ(parent.tagTable().save().bits, base_tags.bits);
+    // Exit sweep: every DRAM line and its tag, all siblings and the
+    // parent, against base-pattern-plus-own-model.
+    EXPECT_EQ(dramMismatch(parent,
+                           [&](std::uint64_t paddr) {
+                               return modelLine(base_bytes, base_tags,
+                                                paddr);
+                           }),
+              "");
     for (int s = 0; s < kSiblings; ++s) {
-        std::vector<std::uint8_t> expect_bytes = base_bytes.data;
+        std::vector<std::uint8_t> expect_bytes = base_bytes;
         for (const auto &[addr, value] : byte_model[s])
             expect_bytes[addr] = value;
-        EXPECT_EQ(siblings[s]->dram().save().data, expect_bytes)
-            << "sibling " << s << " DRAM bytes";
-
-        std::vector<std::uint64_t> expect_tags = base_tags.bits;
-        for (const auto &[line, tag] : tag_model[s]) {
-            std::uint64_t word = line / mem::kLineBytes / 64;
-            std::uint64_t bit = line / mem::kLineBytes % 64;
-            if (tag)
-                expect_tags[word] |= 1ULL << bit;
-            else
-                expect_tags[word] &= ~(1ULL << bit);
-        }
-        EXPECT_EQ(siblings[s]->tagTable().save().bits, expect_tags)
-            << "sibling " << s << " tag bits";
+        std::vector<bool> expect_tags = base_tags;
+        for (const auto &[line, tag] : tag_model[s])
+            expect_tags[line / mem::kLineBytes] = tag;
+        EXPECT_EQ(dramMismatch(*siblings[s],
+                               [&](std::uint64_t paddr) {
+                                   return modelLine(expect_bytes,
+                                                    expect_tags, paddr);
+                               }),
+                  "")
+            << "sibling " << s;
     }
 }
 

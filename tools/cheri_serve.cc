@@ -48,13 +48,10 @@
  *                      quarantine early after N consecutive
  *                      identical-fault incidents (default 0 = off)
  *     --slow           disable the host fast paths (forks inherit)
- *     --measure-fork   time Machine::fork() against a deep
- *                      Snapshot clone and append a "fork_measure"
- *                      section (host timings — omitted by default so
- *                      the JSON stays byte-deterministic)
- *     --min-fork-speedup N
- *                      with --measure-fork: exit 1 unless fork is at
- *                      least N times cheaper than a deep clone
+ *     --measure-fork   time Machine::fork() of the warm parent and
+ *                      append a "fork_measure" section (host timings
+ *                      — omitted by default so the JSON stays
+ *                      byte-deterministic)
  *     --json PATH      write the JSON report ('-' = stdout)
  *     --selftest       serve the fleet twice and require the two
  *                      deterministic reports to be byte-identical;
@@ -65,7 +62,7 @@
  *                      classified (recovered or quarantined)
  *     --quiet          suppress the one-line summary
  *
- * Exit codes: 0 success, 1 fleet/selftest/speedup failure, 2 usage.
+ * Exit codes: 0 success, 1 fleet/selftest failure, 2 usage.
  */
 
 #include <algorithm>
@@ -621,7 +618,6 @@ main(int argc, char **argv)
     bool quiet = false;
     bool selftest = false;
     bool measure_fork = false;
-    std::uint64_t min_speedup = 0;
 
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--guests") == 0 && i + 1 < argc) {
@@ -683,11 +679,6 @@ main(int argc, char **argv)
             config.fast_paths = false;
         } else if (std::strcmp(argv[i], "--measure-fork") == 0) {
             measure_fork = true;
-        } else if (std::strcmp(argv[i], "--min-fork-speedup") == 0 &&
-                   i + 1 < argc) {
-            measure_fork = true;
-            min_speedup = support::parseU64OrFatal(
-                argv[++i], "--min-fork-speedup");
         } else if (std::strcmp(argv[i], "--json") == 0 &&
                    i + 1 < argc) {
             json_path = argv[++i];
@@ -701,8 +692,8 @@ main(int argc, char **argv)
                 "usage: cheri-serve [--guests N] [--guest NAME] "
                 "[--jobs N] [--quantum N] [--warmup N] [--storm P] "
                 "[--retry-budget N] [--quarantine-after N] [--slow] "
-                "[--measure-fork] [--min-fork-speedup N] "
-                "[--json PATH] [--selftest] [--quiet]\n");
+                "[--measure-fork] [--json PATH] [--selftest] "
+                "[--quiet]\n");
             return 2;
         }
     }
@@ -715,25 +706,16 @@ main(int argc, char **argv)
     workloads::GuestProgram prog = programByName(config.guest_name);
 
     std::string fork_measure;
-    std::uint64_t speedup = 0;
     if (measure_fork) {
-        // Time the primitives before the fleet touches the heap, so
-        // the numbers measure fork vs clone, not allocator state
-        // left behind by ten thousand machine constructions.
+        // Time fork before the fleet touches the heap, so the number
+        // measures fork, not allocator state left behind by ten
+        // thousand machine constructions.
         std::unique_ptr<core::Machine> subject =
             buildParent(config, prog);
         std::uint64_t fork_ns = medianNs(32, [&] {
             std::unique_ptr<core::Machine> child = subject->fork();
         });
-        core::Machine::Snapshot s0 = subject->saveSnapshot();
-        std::uint64_t clone_ns = medianNs(4, [&] {
-            core::Machine scratch(subject->config());
-            scratch.restoreSnapshot(s0);
-        });
-        speedup = fork_ns == 0 ? clone_ns : clone_ns / fork_ns;
-        fork_measure = "{\"clone_ns\": " + num(clone_ns) +
-                       ", \"fork_ns\": " + num(fork_ns) +
-                       ", \"speedup\": " + num(speedup) + "}";
+        fork_measure = "{\"fork_ns\": " + num(fork_ns) + "}";
     }
 
     std::unique_ptr<core::Machine> parent = buildParent(config, prog);
@@ -846,20 +828,7 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(recovered),
                         static_cast<unsigned long long>(quarantined));
         }
-        if (measure_fork)
-            std::printf(", fork %llux cheaper than deep clone",
-                        static_cast<unsigned long long>(speedup));
         std::printf("\n");
     }
-    if (!healthy)
-        return 1;
-    if (min_speedup != 0 && speedup < min_speedup) {
-        std::fprintf(stderr,
-                     "cheri-serve: fork speedup %llux is below the "
-                     "--min-fork-speedup %llux gate\n",
-                     static_cast<unsigned long long>(speedup),
-                     static_cast<unsigned long long>(min_speedup));
-        return 1;
-    }
-    return 0;
+    return healthy ? 0 : 1;
 }
