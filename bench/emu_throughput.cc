@@ -2,14 +2,14 @@
  * @file
  * Emulator host-throughput benchmark: measures how many guest
  * instructions per host second the interpreter retires on the guest
- * Olden kernels (treeadd, bisort, mst, em3d), across three tiers:
- * baseline (every fast path off), fast path (TLB fetch hint +
- * predecoded-instruction cache on the fetch side, translation memo +
- * L1D-hit short-circuit on the data side), and superblock (fast paths
- * plus threaded-dispatch straight-line blocks, DESIGN.md §12).
- * Simulated cycles and stats are bit-identical across all modes
- * (asserted here and in test_fetch_fastpath / test_data_fastpath /
- * test_superblock); only host wall-clock changes.
+ * Olden kernels (treeadd, bisort, mst, em3d) at each core::HostTier:
+ * baseline (kReference, every fast path off), fast path (kFast: TLB
+ * fetch hint + predecoded-instruction cache on the fetch side,
+ * translation memo + L1D-hit short-circuit on the data side), and
+ * superblock (kSuperblock: fast paths plus threaded-dispatch
+ * straight-line blocks, DESIGN.md §12). Simulated cycles and stats
+ * are bit-identical across all tiers (asserted here and in
+ * test_host_tier); only host wall-clock changes.
  *
  * Results are written to BENCH_emu_throughput.json (override with
  * CHERI_BENCH_JSON) so the performance trajectory is tracked across
@@ -20,7 +20,7 @@
  * it as a cheap perf-regression gate; CHERI_BENCH_MIN_SB_GEOMEAN does
  * the same for the superblock-over-fast-path geomean.
  *
- * --jobs N (or CHERI_BENCH_JOBS) runs the kernel x mode grid of cells
+ * --jobs N (or CHERI_BENCH_JOBS) runs the kernel x tier grid of cells
  * concurrently with timing isolation: machine construction and the
  * warm-up repetition overlap freely, but the timed repetitions of all
  * cells serialize behind one global mutex so no two clocks ever run
@@ -67,14 +67,8 @@ struct WorkloadResult
     core::SuperblockStats sb;        ///< from the superblock cell
 };
 
-/** The interpreter tiers the grid sweeps, slowest first. */
-enum class Mode
-{
-    kBaseline,   ///< every fast path off
-    kFastPath,   ///< fetch + data fast paths on, superblocks off
-    kSuperblock, ///< fast paths plus the superblock tier
-};
-constexpr std::size_t kModes = 3;
+/** The grid sweeps all three core::HostTier values. */
+constexpr std::size_t kTiers = 3;
 
 bool
 quickMode()
@@ -99,15 +93,13 @@ std::mutex timing_mutex;
  * actual throughput.
  */
 double
-measureMips(const workloads::GuestProgram &prog, Mode mode,
+measureMips(const workloads::GuestProgram &prog, core::HostTier tier,
             std::uint64_t target_insts, unsigned reps,
             core::RunResult &last, core::SuperblockStats &sb)
 {
-    core::Machine machine;
-    bool fast_path = mode != Mode::kBaseline;
-    machine.cpu().setDecodeCacheEnabled(fast_path);
-    machine.cpu().setDataFastPathEnabled(fast_path);
-    machine.cpu().setSuperblocksEnabled(mode == Mode::kSuperblock);
+    core::MachineConfig config;
+    config.accel.tier = tier;
+    core::Machine machine(config);
     workloads::loadGuestProgram(machine, prog);
 
     // Warm-up repetition: page in host memory, fill the simulated
@@ -203,20 +195,21 @@ main(int argc, char **argv)
                 "(%s mode, %u job%s)\n\n",
                 quick ? "quick" : "full", jobs, jobs == 1 ? "" : "s");
 
-    // The kernel x mode grid: cell 3k is kernel k with the superblock
-    // tier on, 3k+1 with only the per-instruction fast paths, 3k+2
-    // fully baseline. Cells run concurrently (timed sections
-    // serialized by timing_mutex) and merge by grid index.
+    // The kernel x tier grid: cell 3k is kernel k at the superblock
+    // tier, 3k+1 at the fast tier, 3k+2 at the reference tier. Cells
+    // run concurrently (timed sections serialized by timing_mutex)
+    // and merge by grid index.
     std::vector<CellResult> cells =
         support::parallelMapOrdered<CellResult>(
-            programs.size() * kModes, jobs,
+            programs.size() * kTiers, jobs,
             [&](std::size_t index, unsigned) {
-                const auto &prog = programs[index / kModes];
-                Mode mode = index % kModes == 0 ? Mode::kSuperblock
-                            : index % kModes == 1 ? Mode::kFastPath
-                                                  : Mode::kBaseline;
+                const auto &prog = programs[index / kTiers];
+                core::HostTier tier =
+                    index % kTiers == 0   ? core::HostTier::kSuperblock
+                    : index % kTiers == 1 ? core::HostTier::kFast
+                                          : core::HostTier::kReference;
                 CellResult cell;
-                cell.mips = measureMips(prog, mode, target, reps,
+                cell.mips = measureMips(prog, tier, target, reps,
                                         cell.run, cell.sb);
                 return cell;
             });
@@ -226,9 +219,9 @@ main(int argc, char **argv)
     double sb_speedup_product = 1.0;
     for (std::size_t k = 0; k < programs.size(); ++k) {
         const auto &prog = programs[k];
-        const CellResult &sb_cell = cells[kModes * k];
-        const CellResult &fast_cell = cells[kModes * k + 1];
-        const CellResult &base_cell = cells[kModes * k + 2];
+        const CellResult &sb_cell = cells[kTiers * k];
+        const CellResult &fast_cell = cells[kTiers * k + 1];
+        const CellResult &base_cell = cells[kTiers * k + 2];
 
         WorkloadResult res;
         res.name = prog.name;

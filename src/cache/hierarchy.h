@@ -515,7 +515,7 @@ class CacheHierarchy : private FillListener
     bool in_prefetch_ = false;
     /** One queued demand-fill trigger (line content copied at fill
      *  time, before the demand store that may have caused it mutates
-     *  the line — deterministic in every host mode because fast-path
+     *  the line — deterministic at every host tier because fast-path
      *  replays are hits and never reach here). */
     struct PendingTrigger
     {

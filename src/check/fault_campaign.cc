@@ -76,12 +76,13 @@ struct WorkerMachine
         : machine([&] {
               core::MachineConfig machine_config;
               machine_config.dram_bytes = config.dram_bytes;
+              machine_config.accel.tier =
+                  config.fast_paths ? core::HostTier::kSuperblock
+                                    : core::HostTier::kReference;
               return machine_config;
           }())
     {
         guest.load(machine);
-        machine.cpu().setDecodeCacheEnabled(config.fast_paths);
-        machine.cpu().setDataFastPathEnabled(config.fast_paths);
         s0 = machine.saveSnapshot();
     }
 
@@ -90,9 +91,9 @@ struct WorkerMachine
 };
 
 /**
- * Replay one planned trial on a machine already sitting at the
- * guest's S0 checkpoint (deep-restored or COW-forked by the caller)
- * and classify it (see the header's outcome taxonomy).
+ * Replay one planned trial on a machine the caller has just restored
+ * to the guest's S0 checkpoint and classify it (see the header's
+ * outcome taxonomy).
  */
 TrialRecord
 runTrial(const CampaignGuest &guest, core::Machine &machine,
@@ -242,13 +243,6 @@ runGuest(const CampaignConfig &config, const CampaignGuest &guest,
         plans.push_back(plan);
     }
 
-    // In fork mode each trial runs on a throwaway COW fork, so the
-    // parent must sit at S0 — the calibration machine just ran the
-    // guest twice, so park it back on the checkpoint once up front.
-    // (Other workers' machines are born at S0 and never run.)
-    if (config.fork_machines)
-        machine.restoreSnapshot(s0);
-
     // Replay trials across the pool. Worker 0 reuses the calibration
     // machine; the others lazily clone their own checkpointed machine
     // the first time they claim a trial. Records land in trial order.
@@ -264,17 +258,6 @@ runGuest(const CampaignConfig &config, const CampaignGuest &guest,
                     workers[worker] = std::make_unique<WorkerMachine>(
                         config, guest);
                 context = workers[worker].get();
-            }
-            if (config.fork_machines) {
-                // The worker machine stays pristine at S0; the trial
-                // corrupts a lightweight fork that dies with the
-                // trial. Forking only ever happens on the worker's
-                // own thread, and shared pages are never written in
-                // place, so sibling forks across workers are safe.
-                std::unique_ptr<core::Machine> child =
-                    context->machine.fork();
-                return runTrial(guest, *child, plans[index], index,
-                                report.clean_instructions);
             }
             context->machine.restoreSnapshot(context->s0);
             return runTrial(guest, context->machine, plans[index],

@@ -62,7 +62,8 @@ struct CampaignConfig
     std::uint64_t trials = 100;
     std::uint64_t seed = 1;
     std::uint64_t dram_bytes = 8 * 1024 * 1024;
-    /** Run the fast machine with decode + data fast paths enabled. */
+    /** Build the fast machine at HostTier::kSuperblock; false builds
+     *  it at HostTier::kReference. */
     bool fast_paths = true;
     /** Watchdog budget for the clean run (retired instructions). */
     std::uint64_t clean_budget = 100'000'000;
@@ -74,17 +75,6 @@ struct CampaignConfig
      * this knob — is byte-identical for any value.
      */
     unsigned jobs = 1;
-    /**
-     * Draw each trial's machine as a copy-on-write fork of the
-     * worker's pristine checkpoint parent instead of deep-restoring
-     * the worker machine in place (Machine::fork() vs
-     * restoreSnapshot()). A fork is an exact simulated-state clone,
-     * so the report — which, like jobs, omits this knob from
-     * toJson() — is byte-identical either way; tests assert exactly
-     * that, which makes the campaign itself a fork correctness
-     * oracle.
-     */
-    bool fork_machines = false;
 };
 
 /** How one trial ended (see file comment). */

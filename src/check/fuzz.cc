@@ -750,25 +750,15 @@ fuzzMachineConfig()
 
 FuzzRunResult
 runFuzzWords(const std::vector<std::uint32_t> &words,
-             bool suppress_tag_clear,
-             std::uint64_t max_instructions,
-             DataFastPathMode data_mode, SuperblockMode sb_mode,
-             core::Machine *fork_parent,
-             cache::PrefetchConfig prefetch)
+             const FuzzRunConfig &config)
 {
     FuzzRunResult result;
-    for (bool fast : {true, false}) {
-        // A fork of a pristine parent is simulated-state-identical
-        // to a fresh machine, just without the 4 MB allocation; the
-        // pass then COW-faults only the pages it actually touches.
-        // A fork parent must already carry the requested prefetch
-        // config (runFuzzSeeds builds its parents that way).
-        core::MachineConfig fresh_config = fuzzMachineConfig();
-        fresh_config.caches.prefetch = prefetch;
-        std::unique_ptr<core::Machine> owned =
-            fork_parent
-                ? fork_parent->fork()
-                : std::make_unique<core::Machine>(fresh_config);
+    for (core::HostTier tier :
+         {core::HostTier::kSuperblock, core::HostTier::kReference}) {
+        core::MachineConfig machine_config = fuzzMachineConfig();
+        machine_config.caches.prefetch = config.prefetch;
+        machine_config.accel.tier = tier;
+        auto owned = std::make_unique<core::Machine>(machine_config);
         core::Machine &machine = *owned;
         machine.loadProgram(kFuzzCodeBase, words);
         machine.mapRange(kFuzzArenaBase, kFuzzArenaLen);
@@ -782,22 +772,16 @@ runFuzzWords(const std::vector<std::uint32_t> &words,
         machine.mapRange(kFuzzRoPage, tlb::kPageBytes, ro);
         machine.mapRange(kFuzzStrideBase, kFuzzStrideLen);
         machine.reset(kFuzzCodeBase);
-        machine.cpu().setDecodeCacheEnabled(fast);
-        bool data_fast = data_mode == DataFastPathMode::kForceOn ||
-                         (data_mode == DataFastPathMode::kFollow && fast);
-        machine.cpu().setDataFastPathEnabled(data_fast);
-        bool sb = sb_mode == SuperblockMode::kForceOn ||
-                  (sb_mode == SuperblockMode::kFollow && fast);
-        machine.cpu().setSuperblocksEnabled(sb);
-        machine.memory().setStoreTagClearSuppressed(suppress_tag_clear);
+        machine.memory().setStoreTagClearSuppressed(
+            config.suppress_tag_clear);
 
         LockstepConfig lockstep_config;
-        lockstep_config.max_instructions = max_instructions;
+        lockstep_config.max_instructions = config.max_instructions;
         Lockstep lockstep(machine, lockstep_config);
         LockstepResult run = lockstep.run();
         if (run.diverged) {
             result.diverged = true;
-            result.fast_path = fast;
+            result.fast_path = tier != core::HostTier::kReference;
             result.divergence = run.divergence;
             return result;
         }
@@ -806,17 +790,12 @@ runFuzzWords(const std::vector<std::uint32_t> &words,
 }
 
 std::vector<FuzzOp>
-shrinkOps(const FuzzSpec &spec, bool suppress_tag_clear,
-          std::uint64_t max_instructions, DataFastPathMode data_mode,
-          SuperblockMode sb_mode, core::Machine *fork_parent,
-          cache::PrefetchConfig prefetch)
+shrinkOps(const FuzzSpec &spec, const FuzzRunConfig &config)
 {
     auto diverges = [&](const std::vector<FuzzOp> &ops) {
         FuzzSpec candidate = spec;
         candidate.ops = ops;
-        return runFuzzWords(assembleFuzzProgram(candidate),
-                            suppress_tag_clear, max_instructions,
-                            data_mode, sb_mode, fork_parent, prefetch)
+        return runFuzzWords(assembleFuzzProgram(candidate), config)
             .diverged;
     };
 
@@ -892,22 +871,17 @@ namespace
 
 /** Generate, run, and (on divergence) shrink one seed; returns the
  *  exact text the CLI prints for it. Pure function of (config, seed) —
- *  the whole Machine/RefCpu pair lives on this call's stack (or is a
- *  COW fork of the worker's private pristine parent), so seeds can
+ *  every Machine/RefCpu pair is private to this call, so seeds can
  *  run on any worker thread in any order. */
 FuzzSeedOutcome
-runOneSeed(const FuzzCampaignConfig &config, std::uint64_t seed,
-           core::Machine *fork_parent)
+runOneSeed(const FuzzCampaignConfig &config, std::uint64_t seed)
 {
     FuzzSeedOutcome outcome;
     outcome.seed = seed;
 
     FuzzSpec spec = generateSpec(seed);
     std::vector<std::uint32_t> words = assembleFuzzProgram(spec);
-    FuzzRunResult result =
-        runFuzzWords(words, config.suppress_tag_clear,
-                     config.max_instructions, config.data_mode,
-                     config.sb_mode, fork_parent, config.prefetch);
+    FuzzRunResult result = runFuzzWords(words, config);
     if (!result.diverged) {
         if (!config.quiet)
             outcome.text = support::format(
@@ -924,16 +898,10 @@ runOneSeed(const FuzzCampaignConfig &config, std::uint64_t seed,
         result.fast_path ? "on" : "off", result.divergence.c_str());
     if (config.shrink) {
         FuzzSpec small = spec;
-        small.ops = shrinkOps(spec, config.suppress_tag_clear,
-                              config.max_instructions,
-                              config.data_mode, config.sb_mode,
-                              fork_parent, config.prefetch);
+        small.ops = shrinkOps(spec, config);
         std::vector<std::uint32_t> small_words =
             assembleFuzzProgram(small);
-        FuzzRunResult small_result =
-            runFuzzWords(small_words, config.suppress_tag_clear,
-                         config.max_instructions, config.data_mode,
-                         config.sb_mode, fork_parent, config.prefetch);
+        FuzzRunResult small_result = runFuzzWords(small_words, config);
         outcome.text +=
             support::format("shrunk %zu ops -> %zu ops\n",
                             spec.ops.size(), small.ops.size());
@@ -973,26 +941,10 @@ runFuzzSeeds(const FuzzCampaignConfig &config)
 {
     FuzzCampaignResult result;
     unsigned jobs = support::normalizeJobs(config.jobs);
-    // Fork mode: each worker lazily builds one pristine parent and
-    // every pass forks it. Parents are private per worker, so fork
-    // construction races cannot occur.
-    std::vector<std::unique_ptr<core::Machine>> parents(jobs);
     result.outcomes = support::parallelMapOrdered<FuzzSeedOutcome>(
         static_cast<std::size_t>(config.seeds), jobs,
-        [&config, &parents](std::size_t index, unsigned worker) {
-            core::Machine *parent = nullptr;
-            if (config.fork_machines) {
-                if (!parents[worker]) {
-                    core::MachineConfig parent_config =
-                        fuzzMachineConfig();
-                    parent_config.caches.prefetch = config.prefetch;
-                    parents[worker] =
-                        std::make_unique<core::Machine>(parent_config);
-                }
-                parent = parents[worker].get();
-            }
-            return runOneSeed(config, config.start_seed + index,
-                              parent);
+        [&config](std::size_t index, unsigned) {
+            return runOneSeed(config, config.start_seed + index);
         });
     for (const FuzzSeedOutcome &outcome : result.outcomes)
         if (outcome.diverged)

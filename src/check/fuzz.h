@@ -13,11 +13,10 @@
  * including pages with the CHERI cap-load/cap-store PTE bits clear.
  *
  * Every generated program runs under the lockstep oracle
- * (check/lockstep.h) against both fast-CPU modes (fetch and data fast
- * paths on and off together by default; the data path can be forced
- * on or off independently to target one side); a divergence is shrunk
- * to a minimal op list and dumped as a .s reproducer that round-trips
- * through the text assembler.
+ * (check/lockstep.h) at the top and bottom host tiers (superblocks
+ * plus both fast paths, then the reference tier); a divergence is
+ * shrunk to a minimal op list and dumped as a .s reproducer that
+ * round-trips through the text assembler.
  */
 
 #ifndef CHERI_CHECK_FUZZ_H
@@ -108,87 +107,48 @@ FuzzSpec generateSpec(std::uint64_t seed);
  */
 std::vector<std::uint32_t> assembleFuzzProgram(const FuzzSpec &spec);
 
-/** Outcome of running one program under the oracle in both modes. */
+/** Outcome of running one program under the oracle at both tiers. */
 struct FuzzRunResult
 {
     bool diverged = false;
-    /** Fast path enabled in the diverging mode. */
+    /** The diverging pass ran with the fast paths (kSuperblock). */
     bool fast_path = false;
     std::string divergence;
 };
 
-/**
- * How the CPU's data-side fast path is set during a fuzz run.
- * kFollow toggles it together with the fetch fast path (so the two
- * oracle passes compare all-fast against all-slow); kForceOn/kForceOff
- * pin it in both passes so the fetch toggle is isolated (kForceOn is
- * what the data-fastpath fuzz sweep uses: every pass exercises the
- * data memo while the oracle still diffs against the reference CPU).
- */
-enum class DataFastPathMode
-{
-    kFollow,
-    kForceOn,
-    kForceOff,
-};
-
-/**
- * How the CPU's superblock tier is set during a fuzz run, same shape
- * as DataFastPathMode. kFollow toggles it with the fetch fast path
- * (the tier is inert without the decode cache anyway); kForceOn pins
- * the enable in both passes so the superblock sweep exercises the
- * tier on every fast pass while the oracle still diffs against the
- * reference CPU; kForceOff fuzzes the fast paths with the tier out
- * of the picture.
- */
-enum class SuperblockMode
-{
-    kFollow,
-    kForceOn,
-    kForceOff,
-};
-
-/** The MachineConfig every fuzz pass runs under (4 MB DRAM). A
- *  fork parent handed to runFuzzWords must be a pristine machine of
- *  exactly this config. */
+/** The MachineConfig every fuzz pass runs under (4 MB DRAM). */
 core::MachineConfig fuzzMachineConfig();
 
+/** How one program runs under the oracle. */
+struct FuzzRunConfig
+{
+    /** Arm the hierarchy's skip-tag-clear fault (data stores stop
+     *  clearing tags) for oracle self-tests. */
+    bool suppress_tag_clear = false;
+    std::uint64_t max_instructions = 20000;
+    /** Hardware prefetcher configuration for every fuzz machine
+     *  (both oracle passes; default off). The lockstep oracle then
+     *  doubles as a prefetch-transparency check: prefetched fills
+     *  must never change architectural state. */
+    cache::PrefetchConfig prefetch;
+};
+
 /**
- * Run an assembled program in lockstep against RefCpu with the fetch
- * fast path on and off; returns the first divergence (if any).
- * 'suppress_tag_clear' arms the hierarchy's behavioural fault (data
- * stores stop clearing tags) for oracle self-tests.
- * 'data_mode' selects the data fast path per pass (see above).
- * 'fork_parent', when non-null, must be a pristine (never-run)
- * fuzzMachineConfig() machine: each pass then runs on a lightweight
- * COW fork of it instead of a freshly constructed machine — exactly
- * the same simulated state, so the output is byte-identical.
+ * Run an assembled program in lockstep against RefCpu twice, each
+ * time on a fresh fuzzMachineConfig() machine: first at
+ * HostTier::kSuperblock, then at HostTier::kReference. Returns the
+ * first divergence (if any).
  */
 FuzzRunResult runFuzzWords(const std::vector<std::uint32_t> &words,
-                           bool suppress_tag_clear = false,
-                           std::uint64_t max_instructions = 20000,
-                           DataFastPathMode data_mode =
-                               DataFastPathMode::kFollow,
-                           SuperblockMode sb_mode =
-                               SuperblockMode::kFollow,
-                           core::Machine *fork_parent = nullptr,
-                           cache::PrefetchConfig prefetch = {});
+                           const FuzzRunConfig &config = {});
 
 /**
  * ddmin-style shrink: repeatedly delete chunks of ops while the
- * program still diverges with the tag-clear fault armed as given.
- * Returns the minimal op list found (the input spec's ops if nothing
- * can be removed).
+ * program still diverges under config. Returns the minimal op list
+ * found (the input spec's ops if nothing can be removed).
  */
 std::vector<FuzzOp> shrinkOps(const FuzzSpec &spec,
-                              bool suppress_tag_clear,
-                              std::uint64_t max_instructions = 20000,
-                              DataFastPathMode data_mode =
-                                  DataFastPathMode::kFollow,
-                              SuperblockMode sb_mode =
-                                  SuperblockMode::kFollow,
-                              core::Machine *fork_parent = nullptr,
-                              cache::PrefetchConfig prefetch = {});
+                              const FuzzRunConfig &config);
 
 /**
  * Render a .s reproducer: header comments (seed, divergence) plus one
@@ -204,32 +164,15 @@ std::string dumpReproducer(const std::vector<std::uint32_t> &words,
  * into the library so it can (a) fan seeds out across a worker pool
  * and (b) be byte-compared between serial and parallel runs in tests.
  */
-struct FuzzCampaignConfig
+struct FuzzCampaignConfig : FuzzRunConfig
 {
     std::uint64_t seeds = 25;
     std::uint64_t start_seed = 1;
     bool shrink = false;
-    /** Arm the hierarchy's skip-tag-clear fault (oracle self-test). */
-    bool suppress_tag_clear = false;
-    std::uint64_t max_instructions = 20000;
-    DataFastPathMode data_mode = DataFastPathMode::kFollow;
-    SuperblockMode sb_mode = SuperblockMode::kFollow;
     /** Omit per-seed "ok" lines (the CLI's --quiet). */
     bool quiet = false;
     /** Worker threads; 0 = hardware concurrency, 1 = serial. */
     unsigned jobs = 1;
-    /**
-     * Draw each pass's machine as a COW fork of a per-worker
-     * pristine parent instead of constructing a fresh 4 MB machine
-     * per pass. Output is byte-identical either way (tests assert
-     * it), so the sweep doubles as a fork correctness oracle.
-     */
-    bool fork_machines = false;
-    /** Hardware prefetcher configuration for every fuzz machine
-     *  (both oracle passes; default off). The lockstep oracle then
-     *  doubles as a prefetch-transparency check: prefetched fills
-     *  must never change architectural state. */
-    cache::PrefetchConfig prefetch;
 };
 
 /** What one seed contributed to the sweep. */

@@ -13,8 +13,8 @@
  * Timing note: the driver reads the fast machine's memory through the
  * cache hierarchy to diff stored lines, which perturbs simulated cache
  * state (hits/misses, LRU). The oracle therefore checks architectural
- * equivalence only; timing invariance between fast-path modes is
- * covered separately by tests/test_fetch_fastpath.cc.
+ * equivalence only; timing invariance across host tiers is covered
+ * separately by tests/test_host_tier.cc.
  */
 
 #ifndef CHERI_CHECK_LOCKSTEP_H

@@ -55,6 +55,20 @@ stopReasonName(StopReason reason)
     return "unknown";
 }
 
+const char *
+hostTierName(HostTier tier)
+{
+    switch (tier) {
+    case HostTier::kReference:
+        return "reference";
+    case HostTier::kFast:
+        return "fast";
+    case HostTier::kSuperblock:
+        return "superblock";
+    }
+    return "unknown";
+}
+
 Cpu::Cpu(cache::CacheHierarchy &memory, tlb::Tlb &tlb, CpuTiming timing,
          CpuAccelConfig accel)
     : memory_(memory), tlb_(tlb), timing_(timing),
@@ -400,9 +414,8 @@ Cpu::step()
         return outcome;
     }
     tlb::TlbResult fetch_tr =
-        decode_cache_enabled_
-            ? tlb_.translateFetch(pc_, fetch_hint_)
-            : tlb_.translate(pc_, tlb::Access::kFetch);
+        fastPaths() ? tlb_.translateFetch(pc_, fetch_hint_)
+                    : tlb_.translate(pc_, tlb::Access::kFetch);
     cycles_ += fetch_tr.penalty_cycles;
     if (!fetch_tr.ok()) {
         raise(ExcCode::kTlbLoad, pc_);
@@ -415,7 +428,7 @@ Cpu::step()
     std::uint64_t fetch_cycles = 0;
     Instruction decoded_word;
     const Instruction *inst_ptr;
-    if (decode_cache_enabled_) {
+    if (fastPaths()) {
         inst_ptr = &fetchDecoded(fetch_tr.paddr, fetch_cycles);
     } else {
         std::uint32_t word =
@@ -490,7 +503,7 @@ Cpu::run(const RunLimits &limits)
             }
             trap_pending_ = false;
             StepOutcome outcome;
-            if (!superblocks_enabled_ || !decode_cache_enabled_ ||
+            if (accel_.tier != HostTier::kSuperblock ||
                 !trySuperblock(limits, start_insts, start_cycles,
                                outcome))
                 outcome = step();
@@ -1033,7 +1046,7 @@ struct CpuExec
             static_cast<std::uint64_t>(static_cast<std::int64_t>(i.imm));
         std::uint64_t vaddr =
             cap::effectiveAddress(c.caps_.read(0), offset);
-        if (c.data_fastpath_enabled_ && vaddr % kSize == 0 &&
+        if (c.fastPaths() && vaddr % kSize == 0 &&
             cap::checkDataAccess(c.caps_.read(0), offset, kSize,
                                  cap::kPermLoad) == CapCause::kNone) {
             std::uint64_t value = 0;
@@ -1055,7 +1068,7 @@ struct CpuExec
             value = static_cast<std::uint64_t>(
                 signExtend(value, kSize * 8));
         c.setGpr(i.rt, value);
-        if (c.data_fastpath_enabled_)
+        if (c.fastPaths())
             c.mintDataMemo(vaddr, paddr);
     }
     template <unsigned kSize>
@@ -1067,7 +1080,7 @@ struct CpuExec
             static_cast<std::uint64_t>(static_cast<std::int64_t>(i.imm));
         std::uint64_t vaddr =
             cap::effectiveAddress(c.caps_.read(0), offset);
-        if (c.data_fastpath_enabled_ && vaddr % kSize == 0 &&
+        if (c.fastPaths() && vaddr % kSize == 0 &&
             cap::checkDataAccess(c.caps_.read(0), offset, kSize,
                                  cap::kPermStore) == CapCause::kNone) {
             if (c.tryFastWrite(vaddr, kSize, c.gpr_[i.rt]))
@@ -1081,7 +1094,7 @@ struct CpuExec
         c.cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
         if (c.ll_valid_ && c.ll_addr_ == paddr)
             c.ll_valid_ = false;
-        if (c.data_fastpath_enabled_)
+        if (c.fastPaths())
             c.mintDataMemo(vaddr, paddr);
     }
     static void lb(Cpu &c, const Instruction &i) { loadLegacy<1, false>(c, i); }
@@ -1713,8 +1726,7 @@ Cpu::executeMemory(const Instruction &inst)
     // alignment checks here are pure, so a fast-path miss falls to the
     // slow path with zero simulated effects applied.
     std::uint64_t vaddr = cap::effectiveAddress(caps_.read(0), offset);
-    if (data_fastpath_enabled_ && inst.op != Opcode::kLld &&
-        vaddr % size == 0 &&
+    if (fastPaths() && inst.op != Opcode::kLld && vaddr % size == 0 &&
         cap::checkDataAccess(caps_.read(0), offset, size,
                              is_store ? cap::kPermStore
                                       : cap::kPermLoad) ==
@@ -1745,7 +1757,7 @@ Cpu::executeMemory(const Instruction &inst)
         // Any store to the monitored line breaks the reservation.
         if (ll_valid_ && ll_addr_ == paddr)
             ll_valid_ = false;
-        if (data_fastpath_enabled_)
+        if (fastPaths())
             mintDataMemo(vaddr, paddr);
         return;
     }
@@ -1760,7 +1772,7 @@ Cpu::executeMemory(const Instruction &inst)
     if (inst.op == Opcode::kLld) {
         ll_valid_ = true;
         ll_addr_ = paddr;
-    } else if (data_fastpath_enabled_) {
+    } else if (fastPaths()) {
         mintDataMemo(vaddr, paddr);
     }
 }
@@ -1778,7 +1790,7 @@ Cpu::executeCapMemory(const Instruction &inst)
 
         // Data fast path for full-line capability transfers. The
         // checks are pure; a miss falls through effect-free.
-        if (data_fastpath_enabled_ &&
+        if (fastPaths() &&
             cap::checkDataAccess(caps_.read(inst.cb), offset,
                                  mem::kLineBytes,
                                  is_store ? cap::kPermStoreCap
@@ -1815,7 +1827,7 @@ Cpu::executeCapMemory(const Instruction &inst)
                         cap::Capability::fromRaw(line.data, line.tag));
         }
         cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-        if (data_fastpath_enabled_) {
+        if (fastPaths()) {
             mintDataMemo(cap::effectiveAddress(caps_.read(inst.cb),
                                                offset),
                          paddr);
@@ -1850,8 +1862,7 @@ Cpu::executeCapMemory(const Instruction &inst)
     // excluded for the same reservation reason as LL above).
     std::uint64_t vaddr =
         cap::effectiveAddress(caps_.read(inst.cb), offset);
-    if (data_fastpath_enabled_ && inst.op != Opcode::kClld &&
-        vaddr % size == 0 &&
+    if (fastPaths() && inst.op != Opcode::kClld && vaddr % size == 0 &&
         cap::checkDataAccess(caps_.read(inst.cb), offset, size,
                              is_store ? cap::kPermStore
                                       : cap::kPermLoad) ==
@@ -1881,7 +1892,7 @@ Cpu::executeCapMemory(const Instruction &inst)
         cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
         if (ll_valid_ && ll_addr_ == paddr)
             ll_valid_ = false;
-        if (data_fastpath_enabled_)
+        if (fastPaths())
             mintDataMemo(vaddr, paddr);
         return;
     }
@@ -1895,7 +1906,7 @@ Cpu::executeCapMemory(const Instruction &inst)
     if (inst.op == Opcode::kClld) {
         ll_valid_ = true;
         ll_addr_ = paddr;
-    } else if (data_fastpath_enabled_) {
+    } else if (fastPaths()) {
         mintDataMemo(vaddr, paddr);
     }
 }

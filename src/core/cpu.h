@@ -49,13 +49,41 @@ struct CpuTiming
 };
 
 /**
- * Geometry of the CPU's host-side accelerators. These knobs change
- * host throughput only — never simulated timing or counters — so
- * tests shrink them to force eviction/aliasing without perturbing
- * the modeled machine. All sizes must be powers of two.
+ * The CPU's host acceleration tier, slowest first. Each tier adds
+ * host-side accelerators to the one below it; no tier changes
+ * simulated timing, counters or architectural behaviour (DESIGN.md
+ * §7), so the choice only moves host throughput.
+ */
+enum class HostTier
+{
+    /** No host accelerator: every fetch walks the TLB, reads the L1I
+     *  and decodes; every data access takes the full capability
+     *  check and hierarchy walk. The speedup baseline, and the tier
+     *  the fuzz oracle's second pass runs at. */
+    kReference,
+    /** The per-instruction fast paths: the fetch fast path (TLB
+     *  fetch hint + predecoded-instruction cache) and the data fast
+     *  path (translation memo + L1D-hit short-circuit, §9). */
+    kFast,
+    /** kFast plus superblock dispatch: chained straight-line blocks
+     *  of predecoded instructions (§12). */
+    kSuperblock,
+};
+
+/** Stable lower-case tier name ("reference", "fast", "superblock"). */
+const char *hostTierName(HostTier tier);
+
+/**
+ * The CPU's host-side accelerators: which tier runs, and the
+ * geometry of its caches. These knobs change host throughput only —
+ * never simulated timing or counters — so tests shrink the geometry
+ * to force eviction/aliasing without perturbing the modeled machine.
+ * All fixed at construction (a fork inherits them with the rest of
+ * the MachineConfig). All sizes must be powers of two.
  */
 struct CpuAccelConfig
 {
+    HostTier tier = HostTier::kSuperblock;
     /** Direct-mapped predecode-cache lines. The default covers 32 KB
      *  of code, twice the modeled L1I, so it is never the
      *  bottleneck. */
@@ -157,10 +185,10 @@ struct SyscallAction
  * lookups, byte reassembly, and decode. Every simulated effect of the
  * simple path (TLB stats and LRU, one L1I line access per fetch,
  * penalty cycles) is replayed exactly, so cycle counts and stats are
- * bit-identical with the fast path on or off — only host throughput
- * changes. Stores into cached lines invalidate the stale decodes via
- * the hierarchy's FetchInvalidationListener hook, so self-modifying
- * code decodes fresh bytes in both modes.
+ * bit-identical at every HostTier — only host throughput changes.
+ * Stores into cached lines invalidate the stale decodes via the
+ * hierarchy's FetchInvalidationListener hook, so self-modifying code
+ * decodes fresh bytes at every tier.
  *
  * The data fast path mirrors that design for loads and stores: a
  * direct-mapped memo keyed by virtual line fuses the TLB translation
@@ -170,7 +198,7 @@ struct SyscallAction
  * replaying every simulated effect — TLB hit stat and LRU, L1D
  * hit/LRU/latency, tag-clearing store semantics, fault injection,
  * fetch coherence, and the store observer — bit-identically. See
- * DESIGN.md §9.
+ * DESIGN.md §9. Both fast paths run at HostTier::kFast and above.
  */
 class Cpu : private cache::FetchInvalidationListener
 {
@@ -230,18 +258,6 @@ class Cpu : private cache::FetchInvalidationListener
     RunResult run(const RunLimits &limits);
 
     /**
-     * Toggle the fetch fast path (predecoded-instruction cache + TLB
-     * fetch hint). Simulated timing and stats are identical either
-     * way; disabling exists for the throughput benchmark's baseline
-     * and for the timing-invariance tests.
-     */
-    void setDecodeCacheEnabled(bool enabled)
-    {
-        decode_cache_enabled_ = enabled;
-    }
-    bool decodeCacheEnabled() const { return decode_cache_enabled_; }
-
-    /**
      * Drop every predecoded line. Needed after code is written below
      * the hierarchy's view (Machine::loadProgram pokes DRAM
      * directly); per-store invalidation is automatic.
@@ -257,19 +273,6 @@ class Cpu : private cache::FetchInvalidationListener
     }
 
     /**
-     * Toggle the data fast path (translation memo + L1D-hit
-     * short-circuit through host line pointers). Simulated timing,
-     * counters, and architectural behaviour are identical either way;
-     * disabling exists for the throughput benchmark's baseline and
-     * the invariance tests.
-     */
-    void setDataFastPathEnabled(bool enabled)
-    {
-        data_fastpath_enabled_ = enabled;
-    }
-    bool dataFastPathEnabled() const { return data_fastpath_enabled_; }
-
-    /**
      * Drop every data-memo entry. Never required for correctness —
      * entries revalidate their TLB generation and L1D residency on
      * every use, and the memoized line pointer reads the same L1D
@@ -283,22 +286,6 @@ class Cpu : private cache::FetchInvalidationListener
     }
 
     /**
-     * Toggle the superblock tier (straight-line blocks of predecoded
-     * instructions executed via threaded dispatch, DESIGN.md §12).
-     * Requires the decode cache: with it disabled the tier never
-     * enters. Simulated timing, counters, and architectural behaviour
-     * are identical either way — every per-instruction effect (TLB
-     * hit + LRU, one L1I line access, cycle formulas) is replayed
-     * exactly, and any guard failure falls back to the
-     * per-instruction path before applying any effect.
-     */
-    void setSuperblocksEnabled(bool enabled)
-    {
-        superblocks_enabled_ = enabled;
-    }
-    bool superblocksEnabled() const { return superblocks_enabled_; }
-
-    /**
      * Drop every superblock (counts them as invalidated). Like the
      * other host accelerators this is never required for correctness
      * — stale blocks fail their entry guards — but restore() uses it
@@ -310,7 +297,7 @@ class Cpu : private cache::FetchInvalidationListener
     /** Host-side superblock counters (not part of stats()). */
     const SuperblockStats &superblockStats() const { return sb_stats_; }
 
-    /** Accelerator geometry this core was built with. */
+    /** Host tier and accelerator geometry this core was built with. */
     const CpuAccelConfig &accelConfig() const { return accel_; }
 
     /** Cycles accumulated over the CPU's lifetime. */
@@ -376,7 +363,7 @@ class Cpu : private cache::FetchInvalidationListener
      * memo that revalidation fails to catch. pick seeds the (wholly
      * deterministic) choice of entry and target line. Returns false
      * when no live entry or no distinct resident line exists (fault
-     * inapplicable). Only observable when the data fast path is on.
+     * inapplicable). Only observable above HostTier::kReference.
      */
     bool injectMemoSkew(std::uint64_t pick);
 
@@ -394,6 +381,10 @@ class Cpu : private cache::FetchInvalidationListener
     };
 
     StepOutcome step();
+
+    /** The fetch and data fast paths run at every tier above
+     *  kReference. */
+    bool fastPaths() const { return accel_.tier != HostTier::kReference; }
 
     // --- fetch fast path ---
 
@@ -548,9 +539,11 @@ class Cpu : private cache::FetchInvalidationListener
      * write/flush or address-space switch bumps it), the PTE grants
      * the access kind, and the L1D way still holds the line — so
      * stale entries cost one failed compare chain and fall back to
-     * the full path with no effects applied.
+     * the full path with no effects applied. An entry is 64 bytes and
+     * aligned to match, so a probe touches one host cache line
+     * wherever the allocator places the memo.
      */
-    struct DataMemoEntry
+    struct alignas(64) DataMemoEntry
     {
         std::uint64_t vline = ~0ULL; ///< vaddr >> cache::kLineShift
         std::uint64_t paddr_line = 0;
@@ -653,7 +646,6 @@ class Cpu : private cache::FetchInvalidationListener
 
     // Fetch fast path state.
     CpuAccelConfig accel_;
-    bool decode_cache_enabled_ = true;
     std::uint64_t decode_generation_ = 0;
     std::uint64_t decode_mint_counter_ = 0;
     std::size_t decode_index_mask_ = 0;
@@ -661,11 +653,9 @@ class Cpu : private cache::FetchInvalidationListener
     tlb::Tlb::FetchHint fetch_hint_;
 
     // Data fast path state.
-    bool data_fastpath_enabled_ = true;
     std::vector<DataMemoEntry> data_memo_;
 
     // Superblock tier state.
-    bool superblocks_enabled_ = true;
     std::size_t superblock_index_mask_ = 0;
     std::vector<Superblock> superblock_cache_;
     /** Next straight-line continuation leader: pc after a block

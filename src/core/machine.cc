@@ -44,14 +44,19 @@ Machine::fork() const
     child->page_table_.restore(page_table_.save());
     child->tlb_.restore(tlb_.save());
     child->cpu_.restore(cpu_.save());
-    // Host fast-path enables are deliberately outside Cpu::Snapshot
-    // (restore never changes them); a fork must inherit them so the
-    // child replays the parent's timing mode.
-    child->cpu_.setDecodeCacheEnabled(cpu_.decodeCacheEnabled());
-    child->cpu_.setDataFastPathEnabled(cpu_.dataFastPathEnabled());
-    child->cpu_.setSuperblocksEnabled(cpu_.superblocksEnabled());
     child->next_frame_ = next_frame_;
     return child;
+}
+
+support::StatSet
+Machine::counters() const
+{
+    support::StatSet out = hierarchy_.collectStats();
+    out.add("instructions", cpu_.totalInstructions());
+    out.add("cycles", cpu_.totalCycles());
+    out.merge(cpu_.stats());
+    out.merge(tlb_.stats());
+    return out;
 }
 
 std::optional<std::uint64_t>

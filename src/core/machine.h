@@ -20,6 +20,7 @@
 #include "mem/physical_memory.h"
 #include "mem/tag_manager.h"
 #include "mem/tag_table.h"
+#include "support/stats.h"
 #include "tlb/page_table.h"
 #include "tlb/tlb.h"
 
@@ -104,6 +105,17 @@ class Machine
     const MachineConfig &config() const { return config_; }
 
     /**
+     * Every simulated counter of the machine in one set, in name
+     * order: "instructions" and "cycles", the CPU's instruction-class
+     * counters, the memory system's (caches, DRAM and tag manager,
+     * see CacheHierarchy::collectStats) and the TLB's. The set is
+     * identical at every HostTier and across forks and restores;
+     * host-tier counters (Cpu::superblockStats) stay out of it.
+     * Returned by value: bind it to a local before iterating all().
+     */
+    support::StatSet counters() const;
+
+    /**
      * A full-machine checkpoint: every layer's simulated state (DRAM
      * bytes, tag table, tag cache, all three caches with dirty lines
      * and LRU, DRAM open-row state, TLB, page table, CPU core state)
@@ -145,11 +157,13 @@ class Machine
      *
      * The child is an exact simulated-state clone: it replays the
      * identical transaction, hit/miss, and cycle sequence the parent
-     * would from this point. Host-only accelerator state (decode
-     * cache, fetch/data memos, superblocks) is dropped in the child
-     * exactly as restoreSnapshot() drops it — the child's cache Way
-     * storage is a fresh copy, so any LineHandle memos pointing into
-     * the parent's ways must not survive the fork. Host-side hooks
+     * would from this point. It is built from this machine's
+     * MachineConfig, so it runs at the same HostTier. Host-only
+     * accelerator state (decode cache, fetch/data memos, superblocks)
+     * is dropped in the child exactly as restoreSnapshot() drops it —
+     * the child's cache Way storage is a fresh copy, so any
+     * LineHandle memos pointing into the parent's ways must not
+     * survive the fork. Host-side hooks
      * (syscall handler, store observers, armed behavioural faults)
      * are NOT copied; re-arm them on the child if needed.
      *

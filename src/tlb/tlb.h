@@ -268,9 +268,9 @@ class Tlb
      * readable, produce the physical address. No stats, no LRU
      * movement, no page-table refill, and no fault — a prefetch is a
      * hint, so a miss simply returns false. Residency at any demand
-     * miss point is host-mode invariant (the fast-path replays
+     * miss point is host-tier invariant (the fast-path replays
      * maintain hits, LRU, and evictions identically), so prefetch
-     * decisions gated on this probe cannot diverge across modes.
+     * decisions gated on this probe cannot diverge across tiers.
      */
     bool
     probePrefetch(std::uint64_t vaddr, std::uint64_t &paddr) const

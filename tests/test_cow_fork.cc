@@ -3,14 +3,13 @@
  * Copy-on-write fork correctness. Machine::fork() must be an exact
  * clone of the simulated state (differential against a fresh
  * machine restored from a snapshot, across kernels and host
- * fast-path modes), siblings must be fully isolated (randomized
+ * tiers), siblings must be fully isolated (randomized
  * interleaved writes in K forks swept against per-fork models over
  * every DRAM line and tag), fork must chain (fork-of-fork sees
  * ancestor writes made before its mint, never after), the COW
  * accounting (CowStore::cowFaults / sharedPages) must tick exactly on
- * first writes, and the shared zero page must never be written in
- * place. The harness fork modes ride on the same substrate, so the
- * campaign and fuzz reports must be byte-identical with forks on.
+ * first writes, the shared zero page must never be written in place,
+ * and a fork must run at its parent's host tier.
  */
 
 #include <algorithm>
@@ -20,13 +19,11 @@
 #include <memory>
 #include <string>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "check/fault_campaign.h"
-#include "check/fuzz.h"
+#include "core/machine.h"
 #include "isa/assembler.h"
 #include "mem/cow_store.h"
 #include "support/rng.h"
@@ -55,34 +52,6 @@ smallConfig()
     core::MachineConfig config;
     config.dram_bytes = 8 * 1024 * 1024;
     return config;
-}
-
-void
-setFastPaths(core::Machine &machine, bool fast, bool superblocks)
-{
-    machine.cpu().setDecodeCacheEnabled(fast);
-    machine.cpu().setDataFastPathEnabled(fast);
-    machine.cpu().setSuperblocksEnabled(superblocks);
-}
-
-/** Every observable counter (same contract as test_snapshot). */
-std::vector<std::pair<std::string, std::uint64_t>>
-allCounters(core::Machine &machine)
-{
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.emplace_back("instructions",
-                     machine.cpu().totalInstructions());
-    out.emplace_back("cycles", machine.cpu().totalCycles());
-    for (const auto &entry : machine.cpu().stats().all())
-        out.push_back(entry);
-    support::StatSet memory_stats = machine.memory().collectStats();
-    for (const auto &entry : memory_stats.all())
-        out.push_back(entry);
-    for (const auto &entry : machine.tlb().stats().all())
-        out.push_back(entry);
-    for (const auto &entry : machine.tagManager().stats().all())
-        out.push_back(entry);
-    return out;
 }
 
 /** One DRAM line of a machine, with its tag. */
@@ -283,6 +252,7 @@ TEST(MachineFork, ForkChainSeesAncestorWritesNotDescendants)
 
 // --- fork vs snapshot clone differential -----------------------------
 
+/** Parameter: kernel x (above the reference tier, superblock tier). */
 class ForkVsClone
     : public ::testing::TestWithParam<
           std::tuple<std::string, std::tuple<bool, bool>>>
@@ -295,20 +265,21 @@ TEST_P(ForkVsClone, ForkedRunMatchesDeepCloneBitForBit)
     auto [fast, superblocks] = std::get<1>(GetParam());
     workloads::GuestProgram prog = kernelByName(kernel);
 
-    core::Machine parent(smallConfig());
+    core::MachineConfig config = smallConfig();
+    config.accel.tier = !fast        ? core::HostTier::kReference
+                        : superblocks ? core::HostTier::kSuperblock
+                                      : core::HostTier::kFast;
+    core::Machine parent(config);
     workloads::loadGuestProgram(parent, prog);
-    setFastPaths(parent, fast, superblocks);
     core::RunLimits warm;
     warm.max_instructions = 300;
     ASSERT_EQ(parent.cpu().run(warm).reason,
               core::StopReason::kInstLimit);
 
-    // Snapshot clone: fresh machine + full snapshot restore (+ the
-    // host toggles, which are mode, not state, and thus not in
-    // snapshots).
+    // Snapshot clone: a fresh machine of the parent's config (host
+    // tier included) plus a full snapshot restore.
     core::Machine clone(parent.config());
     clone.restoreSnapshot(parent.saveSnapshot());
-    setFastPaths(clone, fast, superblocks);
 
     std::unique_ptr<core::Machine> fork = parent.fork();
 
@@ -317,7 +288,7 @@ TEST_P(ForkVsClone, ForkedRunMatchesDeepCloneBitForBit)
     ASSERT_EQ(clone_done.reason, core::StopReason::kBreak);
     ASSERT_EQ(fork_done.reason, core::StopReason::kBreak);
     EXPECT_EQ(fork->cpu().gpr(isa::reg::v0), prog.expected_checksum);
-    EXPECT_EQ(allCounters(*fork), allCounters(clone));
+    EXPECT_EQ(fork->counters().all(), clone.counters().all());
     EXPECT_EQ(dramMismatch(*fork,
                            [&](std::uint64_t paddr) {
                                return taggedLine(clone, paddr);
@@ -332,6 +303,34 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(std::make_tuple(false, false),
                           std::make_tuple(true, false),
                           std::make_tuple(true, true))));
+
+/**
+ * A fork runs at its parent's tier. Tiers are counter-invisible by
+ * design, so no counter comparison can catch a fork that drops its
+ * tier: only the fork's own config and its host-side superblock
+ * counters show which tier it runs at.
+ */
+TEST(MachineFork, ForkKeepsItsHostTier)
+{
+    workloads::GuestProgram prog = kernelByName("treeadd");
+    for (core::HostTier tier :
+         {core::HostTier::kReference, core::HostTier::kFast,
+          core::HostTier::kSuperblock}) {
+        SCOPED_TRACE(core::hostTierName(tier));
+        core::MachineConfig config = smallConfig();
+        config.accel.tier = tier;
+        core::Machine parent(config);
+        workloads::loadGuestProgram(parent, prog);
+        std::unique_ptr<core::Machine> fork = parent.fork();
+        EXPECT_EQ(fork->cpu().accelConfig().tier, tier);
+
+        core::RunResult done = fork->cpu().run(core::RunLimits{});
+        ASSERT_EQ(done.reason, core::StopReason::kBreak);
+        EXPECT_EQ(fork->cpu().gpr(isa::reg::v0), prog.expected_checksum);
+        EXPECT_EQ(fork->cpu().superblockStats().entered > 0,
+                  tier == core::HostTier::kSuperblock);
+    }
+}
 
 // --- randomized sibling isolation ------------------------------------
 
@@ -414,49 +413,6 @@ TEST(MachineFork, SiblingWritesAreInvisibleToEachOther)
                                }),
                   "")
             << "sibling " << s;
-    }
-}
-
-// --- harness fork modes ----------------------------------------------
-
-TEST(HarnessForkMode, CampaignReportIdenticalWithForkTrials)
-{
-    workloads::GuestProgram prog = kernelByName("treeadd");
-    std::vector<check::CampaignGuest> guests = {
-        {"treeadd", [prog](core::Machine &machine) {
-             workloads::loadGuestProgram(machine, prog);
-         }}};
-    check::CampaignConfig config;
-    config.trials = 6;
-    config.seed = 3;
-    std::string reference;
-    for (bool fork : {false, true}) {
-        for (unsigned jobs : {1u, 3u}) {
-            config.fork_machines = fork;
-            config.jobs = jobs;
-            std::string json =
-                check::runCampaign(config, guests).toJson();
-            if (reference.empty())
-                reference = json;
-            EXPECT_EQ(json, reference)
-                << "fork=" << fork << " jobs=" << jobs;
-        }
-    }
-}
-
-TEST(HarnessForkMode, FuzzOutputIdenticalWithForkMachines)
-{
-    check::FuzzCampaignConfig config;
-    config.seeds = 8;
-    config.start_seed = 1;
-    config.quiet = true;
-    config.fork_machines = false;
-    std::string reference = check::runFuzzSeeds(config).text();
-    config.fork_machines = true;
-    for (unsigned jobs : {1u, 3u}) {
-        config.jobs = jobs;
-        EXPECT_EQ(check::runFuzzSeeds(config).text(), reference)
-            << "jobs=" << jobs;
     }
 }
 

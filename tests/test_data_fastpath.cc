@@ -1,19 +1,11 @@
 /**
  * @file
- * Tests for the data-side memory fast path (translation memo + L1D-hit
- * short-circuit, DESIGN.md §9). The fast path must be invisible to
- * guest semantics and to simulated timing:
- *
- *  - Timing invariance: the four guest Olden kernels run with the data
- *    fast path on and off (decode cache fixed on) must produce
- *    bit-identical instruction counts, cycle counts, and every
- *    memory/TLB/CPU counter.
- *  - Lockstep: the same kernels under the co-simulation oracle with
- *    the data fast path in both modes — zero divergence, and the two
- *    modes agree on every counter.
- *  - Targeted hazards: tag semantics through the fast store path, TLB
- *    remap + flushPage invalidating the translation memo, and L1D
- *    eviction invalidating the line handle.
+ * Targeted hazards for the data-side memory fast path (translation
+ * memo + L1D-hit short-circuit, DESIGN.md §9), each run at every host
+ * tier: tag semantics through the fast store path, TLB remap +
+ * flushPage invalidating the translation memo, and L1D eviction
+ * invalidating the line handle. Kernel-level tier invariance, free
+ * running and under the lockstep oracle, lives in test_host_tier.
  */
 
 #include <gtest/gtest.h>
@@ -21,12 +13,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "check/lockstep.h"
 #include "core/machine.h"
 #include "isa/assembler.h"
 #include "support/stats.h"
 #include "tlb/page_table.h"
-#include "workloads/guest_olden.h"
 
 namespace cheri
 {
@@ -39,126 +29,17 @@ namespace reg = isa::reg;
 constexpr std::uint64_t kCodeBase = 0x10000;
 constexpr std::uint64_t kArena = 0x100000;
 
-/** One full run of a guest kernel with every stat snapshot taken. */
-struct ModeRun
-{
-    core::RunResult result;
-    std::uint64_t checksum = 0;
-    support::StatSet memory;
-    support::StatSet tlb;
-    support::StatSet cpu;
-};
+constexpr core::HostTier kTiers[] = {core::HostTier::kReference,
+                                     core::HostTier::kFast,
+                                     core::HostTier::kSuperblock};
 
-ModeRun
-runKernel(const workloads::GuestProgram &prog, bool data_fast)
-{
-    core::Machine machine;
-    machine.cpu().setDecodeCacheEnabled(true);
-    machine.cpu().setDataFastPathEnabled(data_fast);
-    workloads::loadGuestProgram(machine, prog);
-    ModeRun run;
-    run.result = workloads::runGuestProgram(machine, prog);
-    run.checksum = machine.cpu().gpr(reg::v0);
-    run.memory = machine.memory().collectStats();
-    run.tlb = machine.tlb().stats();
-    run.cpu = machine.cpu().stats();
-    return run;
-}
-
-void
-expectModesIdentical(const ModeRun &fast, const ModeRun &base)
-{
-    EXPECT_EQ(fast.checksum, base.checksum);
-    EXPECT_EQ(fast.result.instructions, base.result.instructions);
-    EXPECT_EQ(fast.result.cycles, base.result.cycles);
-    // Full counter-by-counter equality, not just totals: one extra or
-    // missing cache/TLB event anywhere would show up here.
-    EXPECT_EQ(fast.memory.all(), base.memory.all());
-    EXPECT_EQ(fast.tlb.all(), base.tlb.all());
-    EXPECT_EQ(fast.cpu.all(), base.cpu.all());
-}
-
-void
-expectIdentical(const workloads::GuestProgram &prog)
-{
-    expectModesIdentical(runKernel(prog, true), runKernel(prog, false));
-}
-
-TEST(DataTimingInvariance, TreeaddIdenticalAcrossModes)
-{
-    expectIdentical(workloads::guestTreeadd(8, 2));
-}
-
-TEST(DataTimingInvariance, BisortIdenticalAcrossModes)
-{
-    expectIdentical(workloads::guestBisort(64));
-}
-
-TEST(DataTimingInvariance, MstIdenticalAcrossModes)
-{
-    expectIdentical(workloads::guestMst(12));
-}
-
-TEST(DataTimingInvariance, Em3dIdenticalAcrossModes)
-{
-    expectIdentical(workloads::guestEm3d(10, 3, 2));
-}
-
-/** Lockstep oracle runs of one kernel in one data-fast-path mode. */
-ModeRun
-runLockstep(const workloads::GuestProgram &prog, bool data_fast)
+core::Machine
+machineAt(core::HostTier tier)
 {
     core::MachineConfig config;
-    config.dram_bytes = 8 * 1024 * 1024;
-    core::Machine machine(config);
-    workloads::loadGuestProgram(machine, prog);
-    machine.cpu().setDecodeCacheEnabled(true);
-    machine.cpu().setDataFastPathEnabled(data_fast);
-
-    check::Lockstep lockstep(machine);
-    check::LockstepResult result = lockstep.run();
-    EXPECT_FALSE(result.diverged) << result.divergence;
-    EXPECT_TRUE(result.hit_break);
-    EXPECT_EQ(machine.cpu().gpr(reg::v0), prog.expected_checksum);
-
-    ModeRun run;
-    run.result.instructions = result.instructions;
-    run.checksum = machine.cpu().gpr(reg::v0);
-    run.memory = machine.memory().collectStats();
-    run.tlb = machine.tlb().stats();
-    run.cpu = machine.cpu().stats();
-    return run;
+    config.accel.tier = tier;
+    return core::Machine(config);
 }
-
-class DataLockstepOlden : public ::testing::TestWithParam<std::string>
-{
-};
-
-TEST_P(DataLockstepOlden, ZeroDivergenceAndCounterEquality)
-{
-    workloads::GuestProgram prog = [&] {
-        const std::string &name = GetParam();
-        if (name == "treeadd")
-            return workloads::guestTreeadd(5, 2);
-        if (name == "bisort")
-            return workloads::guestBisort(48);
-        if (name == "mst")
-            return workloads::guestMst(12);
-        return workloads::guestEm3d(10, 3, 2);
-    }();
-    ModeRun fast = runLockstep(prog, true);
-    ModeRun base = runLockstep(prog, false);
-    EXPECT_EQ(fast.result.instructions, base.result.instructions);
-    EXPECT_EQ(fast.checksum, base.checksum);
-    EXPECT_EQ(fast.memory.all(), base.memory.all());
-    EXPECT_EQ(fast.tlb.all(), base.tlb.all());
-    EXPECT_EQ(fast.cpu.all(), base.cpu.all());
-}
-
-INSTANTIATE_TEST_SUITE_P(AllKernels, DataLockstepOlden,
-                         ::testing::Values("treeadd", "bisort", "mst",
-                                           "em3d"),
-                         [](const auto &info) { return info.param; });
 
 /**
  * Tag semantics through the fast store path: a data store taken by the
@@ -189,16 +70,15 @@ TEST(DataFastPathHazards, TagSemanticsThroughFastStores)
     a.break_();
     std::vector<std::uint32_t> text = a.finish();
 
-    for (bool data_fast : {true, false}) {
-        core::Machine machine;
-        machine.cpu().setDataFastPathEnabled(data_fast);
+    for (core::HostTier tier : kTiers) {
+        core::Machine machine = machineAt(tier);
         machine.mapRange(kArena, 0x1000);
         machine.loadProgram(kCodeBase, text);
         machine.reset(kCodeBase);
         core::RunResult result = machine.cpu().run(10'000);
         EXPECT_EQ(result.reason, core::StopReason::kBreak);
         EXPECT_EQ(machine.cpu().gpr(reg::v0), 2u)
-            << "data_fast=" << data_fast;
+            << core::hostTierName(tier);
     }
 }
 
@@ -229,9 +109,8 @@ TEST(DataFastPathHazards, TlbRemapInvalidatesMemo)
     phase2.ld(reg::v0, reg::t0, 0);
     phase2.break_();
 
-    for (bool data_fast : {true, false}) {
-        core::Machine machine;
-        machine.cpu().setDataFastPathEnabled(data_fast);
+    for (core::HostTier tier : kTiers) {
+        core::Machine machine = machineAt(tier);
         machine.mapRange(kArena, 4 * tlb::kPageBytes);
         machine.loadProgram(kCodeBase, phase1.finish());
         machine.loadProgram(kPhase2, phase2.finish());
@@ -251,14 +130,14 @@ TEST(DataFastPathHazards, TlbRemapInvalidatesMemo)
         result = machine.cpu().run(10'000);
         ASSERT_EQ(result.reason, core::StopReason::kBreak);
         EXPECT_EQ(machine.cpu().gpr(reg::v0), 0x2222u)
-            << "data_fast=" << data_fast;
+            << core::hostTierName(tier);
     }
 }
 
 /**
  * Evicting the memoized line from the L1D must invalidate the line
  * handle: the next access falls back to the slow path (refill) and
- * still reads the line's last value. Counter equality between modes
+ * still reads the line's last value. Counter equality across tiers
  * proves the fast path neither skipped the refill nor miscounted it.
  */
 TEST(DataFastPathHazards, L1dEvictionInvalidatesHandle)
@@ -276,24 +155,21 @@ TEST(DataFastPathHazards, L1dEvictionInvalidatesHandle)
     a.break_();
     std::vector<std::uint32_t> text = a.finish();
 
-    ModeRun runs[2];
-    for (bool data_fast : {true, false}) {
-        core::Machine machine;
-        machine.cpu().setDataFastPathEnabled(data_fast);
+    support::StatSet reference;
+    for (core::HostTier tier : kTiers) {
+        SCOPED_TRACE(core::hostTierName(tier));
+        core::Machine machine = machineAt(tier);
         machine.mapRange(kArena, 8 * tlb::kPageBytes);
         machine.loadProgram(kCodeBase, text);
         machine.reset(kCodeBase);
-        ModeRun &run = runs[data_fast ? 0 : 1];
-        run.result = machine.cpu().run(10'000);
-        EXPECT_EQ(run.result.reason, core::StopReason::kBreak);
-        EXPECT_EQ(machine.cpu().gpr(reg::v0), 0x7777u)
-            << "data_fast=" << data_fast;
-        run.checksum = machine.cpu().gpr(reg::v0);
-        run.memory = machine.memory().collectStats();
-        run.tlb = machine.tlb().stats();
-        run.cpu = machine.cpu().stats();
+        core::RunResult result = machine.cpu().run(10'000);
+        EXPECT_EQ(result.reason, core::StopReason::kBreak);
+        EXPECT_EQ(machine.cpu().gpr(reg::v0), 0x7777u);
+        support::StatSet counters = machine.counters();
+        if (tier == core::HostTier::kReference)
+            reference = counters;
+        EXPECT_EQ(counters.all(), reference.all());
     }
-    expectModesIdentical(runs[0], runs[1]);
 }
 
 } // namespace

@@ -5,24 +5,21 @@
  * to simulated timing.
  *
  *  - Self-modifying code: a program that overwrites its own upcoming
- *    instruction must execute the new bytes, whether the decode cache
- *    is enabled or not (generation/listener invalidation plus the
- *    L1I/L1D coherence push).
- *  - Timing invariance: running the guest Olden kernels with the
- *    decode cache on and off must produce bit-identical instruction
- *    counts, cycle counts, and memory/TLB/CPU statistics — the fast
- *    path may only change host wall-clock.
+ *    instruction must execute the new bytes at every host tier
+ *    (generation/listener invalidation plus the L1I/L1D coherence
+ *    push), with identical counters at every tier. Kernel-level tier
+ *    invariance lives in test_host_tier.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/machine.h"
 #include "isa/assembler.h"
 #include "support/stats.h"
-#include "workloads/guest_olden.h"
 
 namespace cheri
 {
@@ -93,108 +90,51 @@ makeSmcProgram()
     return {};
 }
 
-std::uint64_t
-runSmc(bool decode_cache)
+/** Run the SMC program to BREAK on a fresh machine at tier. */
+std::unique_ptr<core::Machine>
+runSmc(core::HostTier tier)
 {
     SmcProgram prog = makeSmcProgram();
-    core::Machine machine;
-    machine.cpu().setDecodeCacheEnabled(decode_cache);
-    machine.loadProgram(kCodeBase, prog.text);
-    machine.reset(kCodeBase);
-    core::RunResult result = machine.cpu().run(10'000);
+    core::MachineConfig config;
+    config.accel.tier = tier;
+    auto machine = std::make_unique<core::Machine>(config);
+    machine->loadProgram(kCodeBase, prog.text);
+    machine->reset(kCodeBase);
+    core::RunResult result = machine->cpu().run(10'000);
     EXPECT_EQ(result.reason, core::StopReason::kBreak);
-    return machine.cpu().gpr(reg::v0);
+    return machine;
 }
 
 TEST(SelfModifyingCode, NewBytesExecuteWithDecodeCache)
 {
-    EXPECT_EQ(runSmc(true), SmcProgram::kExpected);
+    EXPECT_EQ(runSmc(core::HostTier::kSuperblock)->cpu().gpr(reg::v0),
+              SmcProgram::kExpected);
 }
 
 TEST(SelfModifyingCode, NewBytesExecuteWithoutDecodeCache)
 {
-    EXPECT_EQ(runSmc(false), SmcProgram::kExpected);
-}
-
-/** One full run of a guest kernel with every stat snapshot taken. */
-struct ModeRun
-{
-    core::RunResult result;
-    std::uint64_t checksum = 0;
-    support::StatSet memory;
-    support::StatSet tlb;
-    support::StatSet cpu;
-};
-
-ModeRun
-runKernel(const workloads::GuestProgram &prog, bool decode_cache)
-{
-    core::Machine machine;
-    machine.cpu().setDecodeCacheEnabled(decode_cache);
-    workloads::loadGuestProgram(machine, prog);
-    ModeRun run;
-    run.result = workloads::runGuestProgram(machine, prog);
-    run.checksum = machine.cpu().gpr(reg::v0);
-    run.memory = machine.memory().collectStats();
-    run.tlb = machine.tlb().stats();
-    run.cpu = machine.cpu().stats();
-    return run;
-}
-
-void
-expectIdentical(const workloads::GuestProgram &prog)
-{
-    ModeRun fast = runKernel(prog, true);
-    ModeRun base = runKernel(prog, false);
-
-    EXPECT_EQ(fast.checksum, base.checksum);
-    EXPECT_EQ(fast.result.instructions, base.result.instructions);
-    EXPECT_EQ(fast.result.cycles, base.result.cycles);
-    // Full counter-by-counter equality, not just totals: one extra or
-    // missing cache/TLB event anywhere would show up here.
-    EXPECT_EQ(fast.memory.all(), base.memory.all());
-    EXPECT_EQ(fast.tlb.all(), base.tlb.all());
-    EXPECT_EQ(fast.cpu.all(), base.cpu.all());
-}
-
-TEST(TimingInvariance, TreeaddIdenticalAcrossModes)
-{
-    expectIdentical(workloads::guestTreeadd(8, 2));
-}
-
-TEST(TimingInvariance, BisortIdenticalAcrossModes)
-{
-    expectIdentical(workloads::guestBisort(64));
+    EXPECT_EQ(runSmc(core::HostTier::kReference)->cpu().gpr(reg::v0),
+              SmcProgram::kExpected);
 }
 
 /**
  * The SMC kernel also exercises the coherence push and decode-line
- * invalidation; its timing must likewise match across modes.
+ * invalidation; its timing must likewise match at every tier.
  */
 TEST(TimingInvariance, SelfModifyingCodeIdenticalAcrossModes)
 {
-    SmcProgram prog = makeSmcProgram();
-    ModeRun runs[2];
-    for (bool enabled : {true, false}) {
-        core::Machine machine;
-        machine.cpu().setDecodeCacheEnabled(enabled);
-        machine.loadProgram(kCodeBase, prog.text);
-        machine.reset(kCodeBase);
-        ModeRun &run = runs[enabled ? 0 : 1];
-        run.result = machine.cpu().run(10'000);
-        EXPECT_EQ(run.result.reason, core::StopReason::kBreak);
-        run.checksum = machine.cpu().gpr(reg::v0);
-        run.memory = machine.memory().collectStats();
-        run.tlb = machine.tlb().stats();
-        run.cpu = machine.cpu().stats();
+    support::StatSet reference;
+    for (core::HostTier tier :
+         {core::HostTier::kReference, core::HostTier::kFast,
+          core::HostTier::kSuperblock}) {
+        SCOPED_TRACE(core::hostTierName(tier));
+        std::unique_ptr<core::Machine> machine = runSmc(tier);
+        EXPECT_EQ(machine->cpu().gpr(reg::v0), SmcProgram::kExpected);
+        support::StatSet counters = machine->counters();
+        if (tier == core::HostTier::kReference)
+            reference = counters;
+        EXPECT_EQ(counters.all(), reference.all());
     }
-    EXPECT_EQ(runs[0].checksum, SmcProgram::kExpected);
-    EXPECT_EQ(runs[0].checksum, runs[1].checksum);
-    EXPECT_EQ(runs[0].result.instructions, runs[1].result.instructions);
-    EXPECT_EQ(runs[0].result.cycles, runs[1].result.cycles);
-    EXPECT_EQ(runs[0].memory.all(), runs[1].memory.all());
-    EXPECT_EQ(runs[0].tlb.all(), runs[1].tlb.all());
-    EXPECT_EQ(runs[0].cpu.all(), runs[1].cpu.all());
 }
 
 } // namespace

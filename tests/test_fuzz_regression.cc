@@ -3,8 +3,9 @@
  * Fuzz-regression corpus runner: every .s file under
  * tests/fuzz_corpus/ (shrunk reproducers of previously fixed
  * divergences, plus hand-written guards) is assembled at the fuzzer's
- * code base and run under the lockstep oracle in both fetch fast-path
- * modes. All corpus entries must complete divergence-free.
+ * code base and run under the lockstep oracle at the superblock and
+ * reference host tiers. All corpus entries must complete
+ * divergence-free.
  */
 
 #include <filesystem>
@@ -64,43 +65,6 @@ TEST(FuzzRegression, AllCorpusEntriesRunClean)
         check::FuzzRunResult result =
             check::runFuzzWords(assembled.words);
         EXPECT_FALSE(result.diverged) << result.divergence;
-    }
-}
-
-TEST(FuzzRegression, CorpusRunsCleanUnderForcedTiers)
-{
-    // The plain corpus run toggles all fast paths together; this one
-    // pins the data fast path and the superblock tier so corpus
-    // entries (notably the capability round-trip guards) exercise
-    // every translation tier combination against the oracle.
-    struct Mode
-    {
-        check::DataFastPathMode data;
-        check::SuperblockMode sb;
-        const char *name;
-    };
-    const Mode modes[] = {
-        {check::DataFastPathMode::kForceOn,
-         check::SuperblockMode::kFollow, "data-on"},
-        {check::DataFastPathMode::kForceOff,
-         check::SuperblockMode::kFollow, "data-off"},
-        {check::DataFastPathMode::kForceOn,
-         check::SuperblockMode::kForceOn, "data-on+superblock"},
-    };
-    for (const std::filesystem::path &path : corpusFiles()) {
-        std::ifstream file(path);
-        ASSERT_TRUE(file.is_open());
-        std::stringstream buffer;
-        buffer << file.rdbuf();
-        isa::AsmResult assembled =
-            isa::assembleText(buffer.str(), check::kFuzzCodeBase);
-        ASSERT_TRUE(assembled.ok());
-        for (const Mode &mode : modes) {
-            SCOPED_TRACE(path.filename().string() + " / " + mode.name);
-            check::FuzzRunResult result = check::runFuzzWords(
-                assembled.words, false, 20000, mode.data, mode.sb);
-            EXPECT_FALSE(result.diverged) << result.divergence;
-        }
     }
 }
 

@@ -1,12 +1,13 @@
 /**
  * @file
- * Differential co-simulation tests: the optimized Cpu (fetch fast path
- * on and off) runs the guest Olden kernels in lockstep against the
- * optimization-free RefCpu, with every architectural state element
- * diffed at every retire. Also self-tests the oracle: a deliberately
- * injected tag-clear fault in the cache hierarchy must be detected and
- * shrink to a minimal reproducer, and the final sweep's zero-page skip
- * must still catch a byte or tag flipped behind its back on any page.
+ * Self-tests of the differential co-simulation oracle (the optimized
+ * Cpu in lockstep against the optimization-free RefCpu, every
+ * architectural state element diffed at every retire): traps must
+ * match, a deliberately injected tag-clear fault in the cache
+ * hierarchy must be detected and shrink to a minimal reproducer, and
+ * the final sweep's zero-page skip must still catch a byte or tag
+ * flipped behind its back on any page. The guest Olden kernels under
+ * the oracle at every host tier live in test_host_tier.
  */
 
 #include <cstdio>
@@ -19,62 +20,11 @@
 #include "check/lockstep.h"
 #include "isa/assembler.h"
 #include "isa/text_assembler.h"
-#include "workloads/guest_olden.h"
 
 namespace
 {
 
 using namespace cheri;
-
-workloads::GuestProgram
-kernelByName(const std::string &name)
-{
-    if (name == "treeadd")
-        return workloads::guestTreeadd(5, 2);
-    if (name == "bisort")
-        return workloads::guestBisort(48);
-    if (name == "mst")
-        return workloads::guestMst(12);
-    return workloads::guestEm3d(10, 3, 2);
-}
-
-class LockstepOlden
-    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
-{
-};
-
-TEST_P(LockstepOlden, ZeroDivergence)
-{
-    const auto &[name, fast_path] = GetParam();
-    workloads::GuestProgram prog = kernelByName(name);
-
-    core::MachineConfig config;
-    config.dram_bytes = 8 * 1024 * 1024;
-    core::Machine machine(config);
-    workloads::loadGuestProgram(machine, prog);
-    machine.cpu().setDecodeCacheEnabled(fast_path);
-    machine.cpu().setDataFastPathEnabled(fast_path);
-
-    check::Lockstep lockstep(machine);
-    check::LockstepResult result = lockstep.run();
-
-    EXPECT_FALSE(result.diverged) << result.divergence;
-    EXPECT_TRUE(result.hit_break);
-    EXPECT_FALSE(result.trapped);
-    EXPECT_GT(result.instructions, 100u);
-    // The kernel's own self-check still holds under the oracle.
-    EXPECT_EQ(machine.cpu().gpr(isa::reg::v0), prog.expected_checksum);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllKernels, LockstepOlden,
-    ::testing::Combine(::testing::Values("treeadd", "bisort", "mst",
-                                         "em3d"),
-                       ::testing::Bool()),
-    [](const auto &info) {
-        return std::get<0>(info.param) +
-               (std::get<1>(info.param) ? "_fast" : "_slow");
-    });
 
 TEST(LockstepOracle, TrapsMatchOnFaultingProgram)
 {
@@ -112,16 +62,16 @@ TEST(LockstepOracle, InjectedTagClearFaultIsCaught)
     // generated program stores over a tagged line; re-pin it if the
     // generator's op mix changes.
     const std::uint64_t seed = 2;
+    check::FuzzRunConfig faulty;
+    faulty.suppress_tag_clear = true;
     check::FuzzSpec spec = check::generateSpec(seed);
-    check::FuzzRunResult result = check::runFuzzWords(
-        check::assembleFuzzProgram(spec),
-        /*suppress_tag_clear=*/true);
+    check::FuzzRunResult result =
+        check::runFuzzWords(check::assembleFuzzProgram(spec), faulty);
     ASSERT_TRUE(result.diverged);
     EXPECT_NE(result.divergence.find("tag="), std::string::npos)
         << result.divergence;
 
-    std::vector<check::FuzzOp> shrunk = check::shrinkOps(
-        spec, /*suppress_tag_clear=*/true);
+    std::vector<check::FuzzOp> shrunk = check::shrinkOps(spec, faulty);
     ASSERT_FALSE(shrunk.empty());
     EXPECT_LT(shrunk.size(), spec.ops.size());
 
@@ -129,8 +79,8 @@ TEST(LockstepOracle, InjectedTagClearFaultIsCaught)
     small.ops = shrunk;
     std::vector<std::uint32_t> words =
         check::assembleFuzzProgram(small);
-    check::FuzzRunResult small_result = check::runFuzzWords(
-        words, /*suppress_tag_clear=*/true);
+    check::FuzzRunResult small_result =
+        check::runFuzzWords(words, faulty);
     EXPECT_TRUE(small_result.diverged);
 
     // The dumped reproducer round-trips through the text assembler.

@@ -3,9 +3,8 @@
  * Prefetcher subsystem tests (DESIGN.md §14). The prefetchers are
  * micro-architectural accelerators: they may only move lines up the
  * hierarchy early, never change architectural state, and their
- * decisions must fire identically in every host mode (baseline, fast
- * paths, superblocks) because every demand miss funnels through the
- * same fill path.
+ * decisions must fire identically at every host tier because every
+ * demand miss funnels through the same fill path.
  *
  *  - Cache-level mechanics: prefetchFill installs a line without
  *    touching hit/miss counters or the access memo; a later demand
@@ -20,15 +19,12 @@
  *    pointee's lines in through a side-effect-free TLB probe.
  *  - Default off: a machine without prefetching mints no prefetch
  *    counters at all, so seed stats output is byte-identical.
- *  - Lockstep: the guest Olden kernels under the oracle with each
- *    prefetcher on, across fast-path x superblock modes — zero
- *    divergence; and full simulated-counter equality across all three
- *    host modes with prefetching enabled.
+ *
+ * The guest Olden kernels under the lockstep oracle with each
+ * prefetcher on, at every host tier, live in test_host_tier.
  */
 
 #include <string>
-#include <tuple>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -36,10 +32,7 @@
 #include "cache/hierarchy.h"
 #include "cap/capability.h"
 #include "cap/perms.h"
-#include "check/lockstep.h"
 #include "core/machine.h"
-#include "isa/assembler.h"
-#include "workloads/guest_olden.h"
 #include "workloads/olden.h"
 #include "workloads/timing_context.h"
 
@@ -47,8 +40,6 @@ namespace cheri
 {
 namespace
 {
-
-namespace reg = isa::reg;
 
 struct TestMemory
 {
@@ -301,164 +292,6 @@ TEST(PrefetchTiming, CapChaseFiresOnlyUnderCheri)
     EXPECT_EQ(mips.get("l1d.prefetch_issued"), 0u);
     EXPECT_EQ(mips.get("l2.prefetch_issued"), 0u);
 }
-
-// --- lockstep: the oracle with each prefetcher on ---
-
-workloads::GuestProgram
-kernelByName(const std::string &name)
-{
-    if (name == "treeadd")
-        return workloads::guestTreeadd(5, 2);
-    if (name == "bisort")
-        return workloads::guestBisort(48);
-    if (name == "mst")
-        return workloads::guestMst(12);
-    return workloads::guestEm3d(10, 3, 2);
-}
-
-cache::PrefetchPolicy
-policyByName(const std::string &name)
-{
-    cache::PrefetchPolicy policy = cache::PrefetchPolicy::kNone;
-    EXPECT_TRUE(cache::parsePrefetchPolicy(name.c_str(), policy));
-    return policy;
-}
-
-class LockstepPrefetch
-    : public ::testing::TestWithParam<
-          std::tuple<std::string, bool, bool, std::string>>
-{
-};
-
-TEST_P(LockstepPrefetch, ZeroDivergence)
-{
-    const auto &[name, fast_path, superblocks, policy] = GetParam();
-    workloads::GuestProgram prog = kernelByName(name);
-
-    core::MachineConfig config;
-    config.dram_bytes = 8 * 1024 * 1024;
-    config.caches.prefetch.policy = policyByName(policy);
-    config.caches.prefetch.degree = 4;
-    core::Machine machine(config);
-    workloads::loadGuestProgram(machine, prog);
-    machine.cpu().setDecodeCacheEnabled(fast_path);
-    machine.cpu().setDataFastPathEnabled(fast_path);
-    machine.cpu().setSuperblocksEnabled(superblocks);
-
-    check::Lockstep lockstep(machine);
-    check::LockstepResult result = lockstep.run();
-
-    EXPECT_FALSE(result.diverged) << result.divergence;
-    EXPECT_TRUE(result.hit_break);
-    EXPECT_FALSE(result.trapped);
-    EXPECT_EQ(machine.cpu().gpr(reg::v0), prog.expected_checksum);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllKernels, LockstepPrefetch,
-    ::testing::Combine(::testing::Values("treeadd", "bisort", "mst",
-                                         "em3d"),
-                       ::testing::Bool(), ::testing::Bool(),
-                       ::testing::Values("nextline", "capchase")),
-    [](const auto &info) {
-        return std::get<0>(info.param) +
-               (std::get<1>(info.param) ? "_fast" : "_slow") +
-               (std::get<2>(info.param) ? "_sb" : "_nosb") + "_" +
-               std::get<3>(info.param);
-    });
-
-// --- host-mode invariance with prefetching enabled ---
-
-/** Every observable simulated counter in the machine. */
-std::vector<std::pair<std::string, std::uint64_t>>
-allCounters(core::Machine &machine)
-{
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.emplace_back("instructions",
-                     machine.cpu().totalInstructions());
-    out.emplace_back("cycles", machine.cpu().totalCycles());
-    for (const auto &entry : machine.cpu().stats().all())
-        out.push_back(entry);
-    support::StatSet memory_stats = machine.memory().collectStats();
-    for (const auto &entry : memory_stats.all())
-        out.push_back(entry);
-    for (const auto &entry : machine.tlb().stats().all())
-        out.push_back(entry);
-    return out;
-}
-
-struct ModeRun
-{
-    core::RunResult result;
-    std::uint64_t checksum = 0;
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-};
-
-enum class HostMode
-{
-    kBaseline,
-    kFastPath,
-    kSuperblock,
-};
-
-ModeRun
-runKernel(const workloads::GuestProgram &prog,
-          cache::PrefetchPolicy policy, HostMode mode)
-{
-    core::MachineConfig config;
-    config.dram_bytes = 8 * 1024 * 1024;
-    config.caches.prefetch.policy = policy;
-    config.caches.prefetch.degree = 4;
-    core::Machine machine(config);
-    bool fast = mode != HostMode::kBaseline;
-    machine.cpu().setDecodeCacheEnabled(fast);
-    machine.cpu().setDataFastPathEnabled(fast);
-    machine.cpu().setSuperblocksEnabled(mode == HostMode::kSuperblock);
-    workloads::loadGuestProgram(machine, prog);
-    ModeRun run;
-    run.result = workloads::runGuestProgram(machine, prog);
-    run.checksum = machine.cpu().gpr(reg::v0);
-    run.counters = allCounters(machine);
-    return run;
-}
-
-class PrefetchHostInvariance
-    : public ::testing::TestWithParam<
-          std::tuple<std::string, std::string>>
-{
-};
-
-TEST_P(PrefetchHostInvariance, IdenticalAcrossHostModes)
-{
-    const auto &[name, policy_name] = GetParam();
-    workloads::GuestProgram prog = kernelByName(name);
-    cache::PrefetchPolicy policy = policyByName(policy_name);
-
-    ModeRun base = runKernel(prog, policy, HostMode::kBaseline);
-    ModeRun fast = runKernel(prog, policy, HostMode::kFastPath);
-    ModeRun sb = runKernel(prog, policy, HostMode::kSuperblock);
-
-    EXPECT_EQ(base.checksum, prog.expected_checksum);
-    EXPECT_EQ(fast.checksum, base.checksum);
-    EXPECT_EQ(sb.checksum, base.checksum);
-    EXPECT_EQ(fast.result.instructions, base.result.instructions);
-    EXPECT_EQ(sb.result.instructions, base.result.instructions);
-    EXPECT_EQ(fast.result.cycles, base.result.cycles);
-    EXPECT_EQ(sb.result.cycles, base.result.cycles);
-    // Full counter-by-counter equality — one prefetch decision firing
-    // in one host mode but not another would show up here.
-    EXPECT_EQ(fast.counters, base.counters);
-    EXPECT_EQ(sb.counters, base.counters);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllKernels, PrefetchHostInvariance,
-    ::testing::Combine(::testing::Values("treeadd", "bisort", "mst",
-                                         "em3d"),
-                       ::testing::Values("nextline", "capchase")),
-    [](const auto &info) {
-        return std::get<0>(info.param) + "_" + std::get<1>(info.param);
-    });
 
 } // namespace
 } // namespace cheri

@@ -7,9 +7,9 @@
  * to completion, propagate worker exceptions, and hand quanta valid
  * worker ids. The second half pins the property the quantum model
  * rests on: chopping a CPU run into RunLimits slices — at any
- * quantum, down to single instructions, with superblocks on or off —
- * retires the identical instruction/cycle/cache/TLB counter stream
- * as one uninterrupted run.
+ * quantum, down to single instructions, at the fast and superblock
+ * host tiers — retires the identical instruction/cycle/cache/TLB
+ * counter stream as one uninterrupted run.
  *
  * The supervision half pins the GuestSupervisor contract (verdicts,
  * retry budgets, deterministic incident histories at any worker
@@ -26,6 +26,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -146,39 +147,19 @@ TEST(GuestScheduler, ZeroGuestsIsANoOp)
 
 // --- quantum-boundary CPU behaviour ----------------------------------
 
-std::vector<std::pair<std::string, std::uint64_t>>
-allCounters(core::Machine &machine)
-{
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.emplace_back("instructions",
-                     machine.cpu().totalInstructions());
-    out.emplace_back("cycles", machine.cpu().totalCycles());
-    for (const auto &entry : machine.cpu().stats().all())
-        out.push_back(entry);
-    support::StatSet memory_stats = machine.memory().collectStats();
-    for (const auto &entry : memory_stats.all())
-        out.push_back(entry);
-    for (const auto &entry : machine.tlb().stats().all())
-        out.push_back(entry);
-    for (const auto &entry : machine.tagManager().stats().all())
-        out.push_back(entry);
-    return out;
-}
-
 std::unique_ptr<core::Machine>
-preparedMachine(bool superblocks)
+preparedMachine(core::HostTier tier)
 {
     core::MachineConfig config;
     config.dram_bytes = 8 * 1024 * 1024;
+    config.accel.tier = tier;
     auto machine = std::make_unique<core::Machine>(config);
     workloads::loadGuestProgram(*machine,
                                 workloads::guestTreeadd(5, 2));
-    machine->cpu().setDecodeCacheEnabled(true);
-    machine->cpu().setDataFastPathEnabled(true);
-    machine->cpu().setSuperblocksEnabled(superblocks);
     return machine;
 }
 
+/** Parameter: (superblock tier, else the fast tier) x quantum. */
 class QuantumBoundary
     : public ::testing::TestWithParam<std::tuple<bool, std::uint64_t>>
 {
@@ -187,14 +168,14 @@ class QuantumBoundary
 TEST_P(QuantumBoundary, ChoppedRunMatchesUninterruptedRun)
 {
     auto [superblocks, quantum] = GetParam();
+    core::HostTier tier =
+        superblocks ? core::HostTier::kSuperblock : core::HostTier::kFast;
 
-    std::unique_ptr<core::Machine> full =
-        preparedMachine(superblocks);
+    std::unique_ptr<core::Machine> full = preparedMachine(tier);
     core::RunResult full_done = full->cpu().run(core::RunLimits{});
     ASSERT_EQ(full_done.reason, core::StopReason::kBreak);
 
-    std::unique_ptr<core::Machine> chopped =
-        preparedMachine(superblocks);
+    std::unique_ptr<core::Machine> chopped = preparedMachine(tier);
     core::RunLimits slice;
     slice.max_instructions = quantum;
     std::uint64_t quanta = 0;
@@ -207,11 +188,11 @@ TEST_P(QuantumBoundary, ChoppedRunMatchesUninterruptedRun)
     ASSERT_EQ(last.reason, core::StopReason::kBreak);
 
     // A quantum smaller than the kernel must actually preempt —
-    // with superblocks on, that includes preemption mid-superblock.
+    // at the superblock tier, that includes preemption mid-superblock.
     EXPECT_GT(quanta, 1u);
     EXPECT_EQ(chopped->cpu().gpr(isa::reg::v0),
               full->cpu().gpr(isa::reg::v0));
-    EXPECT_EQ(allCounters(*chopped), allCounters(*full));
+    EXPECT_EQ(chopped->counters().all(), full->counters().all());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,15 +5,14 @@
  * mid-kernel and restoring it later must be invisible to the
  * simulation — the restored run retires the same instructions, burns
  * the same cycles, and takes the same cache/TLB/tag hits as an
- * uninterrupted run, bit for bit, with the host-side fast paths on or
- * off. Also covers the watchdog budgets (structured kInstLimit /
+ * uninterrupted run, bit for bit, at the reference and superblock
+ * host tiers. Also covers the watchdog budgets (structured kInstLimit /
  * kCycleLimit results), the structured allocation errors on
  * core::Machine, and the fault-campaign engine's reproducibility.
  */
 
 #include <string>
-#include <utility>
-#include <vector>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -40,37 +39,15 @@ kernelByName(const std::string &name)
 }
 
 core::Machine
-makeMachine()
+makeMachine(core::HostTier tier = core::HostTier::kSuperblock)
 {
     core::MachineConfig config;
     config.dram_bytes = 8 * 1024 * 1024;
+    config.accel.tier = tier;
     return core::Machine(config);
 }
 
-/**
- * Every observable counter in the machine: retired instructions,
- * cycles, and all CPU / cache / TLB / tag-manager stats. Two runs are
- * "the same" iff these vectors are equal.
- */
-std::vector<std::pair<std::string, std::uint64_t>>
-allCounters(core::Machine &machine)
-{
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.emplace_back("instructions",
-                     machine.cpu().totalInstructions());
-    out.emplace_back("cycles", machine.cpu().totalCycles());
-    for (const auto &entry : machine.cpu().stats().all())
-        out.push_back(entry);
-    support::StatSet memory_stats = machine.memory().collectStats();
-    for (const auto &entry : memory_stats.all())
-        out.push_back(entry);
-    for (const auto &entry : machine.tlb().stats().all())
-        out.push_back(entry);
-    for (const auto &entry : machine.tagManager().stats().all())
-        out.push_back(entry);
-    return out;
-}
-
+/** Parameter: kernel x (superblock tier, else the reference tier). */
 class SnapshotOlden
     : public ::testing::TestWithParam<std::tuple<std::string, bool>>
 {
@@ -78,28 +55,27 @@ class SnapshotOlden
 
 TEST_P(SnapshotOlden, SaveAndRestoreAreInvisible)
 {
-    const auto &[name, fast_path] = GetParam();
+    const auto &[name, fast] = GetParam();
+    core::HostTier tier =
+        fast ? core::HostTier::kSuperblock : core::HostTier::kReference;
     workloads::GuestProgram prog = kernelByName(name);
 
-    // Uninterrupted baseline.
-    core::Machine baseline = makeMachine();
+    // Uninterrupted baseline. Two runs are "the same" iff every
+    // simulated counter (Machine::counters()) is equal.
+    core::Machine baseline = makeMachine(tier);
     workloads::loadGuestProgram(baseline, prog);
-    baseline.cpu().setDecodeCacheEnabled(fast_path);
-    baseline.cpu().setDataFastPathEnabled(fast_path);
     core::RunResult clean = baseline.cpu().run(core::RunLimits{});
     ASSERT_EQ(clean.reason, core::StopReason::kBreak);
     ASSERT_EQ(baseline.cpu().gpr(isa::reg::v0), prog.expected_checksum);
-    auto expected = allCounters(baseline);
+    support::StatSet expected = baseline.counters();
     std::uint64_t clean_instructions =
         baseline.cpu().totalInstructions();
     ASSERT_GT(clean_instructions, 100u);
 
     // Same run, but snapshot mid-kernel. Taking the snapshot must not
     // perturb the continuation...
-    core::Machine machine = makeMachine();
+    core::Machine machine = makeMachine(tier);
     workloads::loadGuestProgram(machine, prog);
-    machine.cpu().setDecodeCacheEnabled(fast_path);
-    machine.cpu().setDataFastPathEnabled(fast_path);
     core::RunLimits half;
     half.max_instructions = clean_instructions / 2;
     core::RunResult mid = machine.cpu().run(half);
@@ -107,7 +83,7 @@ TEST_P(SnapshotOlden, SaveAndRestoreAreInvisible)
     core::Machine::Snapshot snapshot = machine.saveSnapshot();
     core::RunResult rest = machine.cpu().run(core::RunLimits{});
     ASSERT_EQ(rest.reason, core::StopReason::kBreak);
-    EXPECT_EQ(allCounters(machine), expected);
+    EXPECT_EQ(machine.counters().all(), expected.all());
     EXPECT_EQ(machine.cpu().gpr(isa::reg::v0), prog.expected_checksum);
 
     // ...and restoring it must replay the identical tail, twice.
@@ -117,7 +93,8 @@ TEST_P(SnapshotOlden, SaveAndRestoreAreInvisible)
                   half.max_instructions);
         core::RunResult replay = machine.cpu().run(core::RunLimits{});
         ASSERT_EQ(replay.reason, core::StopReason::kBreak);
-        EXPECT_EQ(allCounters(machine), expected) << "round " << round;
+        EXPECT_EQ(machine.counters().all(), expected.all())
+            << "round " << round;
         EXPECT_EQ(machine.cpu().gpr(isa::reg::v0),
                   prog.expected_checksum);
     }

@@ -11,15 +11,13 @@
  *  - Snapshot restore: restoreSnapshot drops every minted block
  *    (never captures one), and the counter-invisible re-mint replays
  *    the identical tail.
- *  - Timing invariance: every guest Olden kernel retires identical
- *    instruction/cycle counts and identical memory/TLB/CPU counters
- *    with the tier on and off — including under a deliberately tiny
- *    accelerator geometry that forces eviction and re-minting.
+ *  - Geometry invariance: every guest Olden kernel retires identical
+ *    counters under a deliberately tiny accelerator geometry that
+ *    forces eviction and re-minting. (Invariance across tiers lives
+ *    in test_host_tier.)
  */
 
 #include <string>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,24 +45,12 @@ makeMachine(core::CpuAccelConfig accel = {})
     return core::Machine(config);
 }
 
-/** Every observable simulated counter in the machine. */
-std::vector<std::pair<std::string, std::uint64_t>>
-allCounters(core::Machine &machine)
+core::Machine
+machineAt(core::HostTier tier)
 {
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    out.emplace_back("instructions",
-                     machine.cpu().totalInstructions());
-    out.emplace_back("cycles", machine.cpu().totalCycles());
-    for (const auto &entry : machine.cpu().stats().all())
-        out.push_back(entry);
-    support::StatSet memory_stats = machine.memory().collectStats();
-    for (const auto &entry : memory_stats.all())
-        out.push_back(entry);
-    for (const auto &entry : machine.tlb().stats().all())
-        out.push_back(entry);
-    for (const auto &entry : machine.tagManager().stats().all())
-        out.push_back(entry);
-    return out;
+    core::CpuAccelConfig accel;
+    accel.tier = tier;
+    return makeMachine(accel);
 }
 
 /*
@@ -133,11 +119,11 @@ makeMidBlockSmc()
 }
 
 std::uint64_t
-runMidBlockSmc(bool superblocks, core::SuperblockStats *stats = nullptr)
+runMidBlockSmc(core::HostTier tier,
+               core::SuperblockStats *stats = nullptr)
 {
     MidBlockSmc prog = makeMidBlockSmc();
-    core::Machine machine = makeMachine();
-    machine.cpu().setSuperblocksEnabled(superblocks);
+    core::Machine machine = machineAt(tier);
     machine.loadProgram(kCodeBase, prog.text);
     machine.reset(kCodeBase);
     core::RunResult result = machine.cpu().run(10'000);
@@ -150,7 +136,8 @@ runMidBlockSmc(bool superblocks, core::SuperblockStats *stats = nullptr)
 TEST(SuperblockSmc, StoreIntoOwnBlockExecutesFreshBytes)
 {
     core::SuperblockStats stats;
-    EXPECT_EQ(runMidBlockSmc(true, &stats), MidBlockSmc::kExpected);
+    EXPECT_EQ(runMidBlockSmc(core::HostTier::kSuperblock, &stats),
+              MidBlockSmc::kExpected);
     // The run actually went through the tier and the covered store
     // aborted a live block.
     EXPECT_GT(stats.entered, 0u);
@@ -159,7 +146,8 @@ TEST(SuperblockSmc, StoreIntoOwnBlockExecutesFreshBytes)
 
 TEST(SuperblockSmc, StoreIntoOwnBlockExecutesFreshBytesTierOff)
 {
-    EXPECT_EQ(runMidBlockSmc(false), MidBlockSmc::kExpected);
+    EXPECT_EQ(runMidBlockSmc(core::HostTier::kFast),
+              MidBlockSmc::kExpected);
 }
 
 /**
@@ -212,15 +200,15 @@ TEST(SuperblockSmc, PatchedBlockRemintsBeforeNextEntry)
     }
     ASSERT_FALSE(text.empty()) << "SMC loop layout did not converge";
 
-    for (bool superblocks : {true, false}) {
-        core::Machine machine = makeMachine();
-        machine.cpu().setSuperblocksEnabled(superblocks);
+    for (core::HostTier tier :
+         {core::HostTier::kSuperblock, core::HostTier::kFast}) {
+        core::Machine machine = machineAt(tier);
         machine.loadProgram(kCodeBase, text);
         machine.reset(kCodeBase);
         core::RunResult result = machine.cpu().run(10'000);
         ASSERT_EQ(result.reason, core::StopReason::kBreak);
         EXPECT_EQ(machine.cpu().gpr(reg::v0), 3u * 7u + 3u * 99u);
-        if (!superblocks)
+        if (tier != core::HostTier::kSuperblock)
             continue;
         const core::SuperblockStats &stats =
             machine.cpu().superblockStats();
@@ -243,25 +231,24 @@ kernelByName(const std::string &name)
     return workloads::guestEm3d(10, 3, 2);
 }
 
-struct ModeRun
+struct GeometryRun
 {
-    core::RunResult result;
     std::uint64_t checksum = 0;
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    support::StatSet counters;
     core::SuperblockStats sb;
 };
 
-ModeRun
-runKernel(const workloads::GuestProgram &prog, bool superblocks,
+/** Run a kernel at the superblock tier under the given geometry. */
+GeometryRun
+runKernel(const workloads::GuestProgram &prog,
           core::CpuAccelConfig accel = {})
 {
     core::Machine machine = makeMachine(accel);
-    machine.cpu().setSuperblocksEnabled(superblocks);
     workloads::loadGuestProgram(machine, prog);
-    ModeRun run;
-    run.result = workloads::runGuestProgram(machine, prog);
+    workloads::runGuestProgram(machine, prog);
+    GeometryRun run;
     run.checksum = machine.cpu().gpr(reg::v0);
-    run.counters = allCounters(machine);
+    run.counters = machine.counters();
     run.sb = machine.cpu().superblockStats();
     return run;
 }
@@ -270,27 +257,6 @@ class SuperblockTimingInvariance
     : public ::testing::TestWithParam<std::string>
 {
 };
-
-TEST_P(SuperblockTimingInvariance, IdenticalAcrossModes)
-{
-    workloads::GuestProgram prog = kernelByName(GetParam());
-    ModeRun sb = runKernel(prog, true);
-    ModeRun base = runKernel(prog, false);
-
-    EXPECT_EQ(sb.checksum, prog.expected_checksum);
-    EXPECT_EQ(sb.checksum, base.checksum);
-    EXPECT_EQ(sb.result.instructions, base.result.instructions);
-    EXPECT_EQ(sb.result.cycles, base.result.cycles);
-    // Full counter-by-counter equality: one extra or missing cache/
-    // TLB/tag event anywhere would show up here.
-    EXPECT_EQ(sb.counters, base.counters);
-    // The tier actually carried the run...
-    EXPECT_GT(sb.sb.entered, 0u);
-    EXPECT_GT(sb.sb.instructions, sb.result.instructions / 2);
-    // ...and was fully out of the picture when disabled.
-    EXPECT_EQ(base.sb.entered, 0u);
-    EXPECT_EQ(base.sb.instructions, 0u);
-}
 
 /**
  * Tiny accelerator geometry: 4 decode-cache lines (128 bytes of code
@@ -305,13 +271,11 @@ TEST_P(SuperblockTimingInvariance, TinyGeometryIdenticalToDefault)
     tiny.decode_cache_lines = 4;
     tiny.superblock_entries = 4;
     tiny.superblock_max_slots = 4;
-    ModeRun small = runKernel(prog, true, tiny);
-    ModeRun big = runKernel(prog, true);
+    GeometryRun small = runKernel(prog, tiny);
+    GeometryRun big = runKernel(prog);
 
     EXPECT_EQ(small.checksum, prog.expected_checksum);
-    EXPECT_EQ(small.result.instructions, big.result.instructions);
-    EXPECT_EQ(small.result.cycles, big.result.cycles);
-    EXPECT_EQ(small.counters, big.counters);
+    EXPECT_EQ(small.counters.all(), big.counters.all());
     // The squeeze was real: conflicting blocks were evicted and
     // re-minted far more often than under the default geometry.
     // (Evictions surface as cold re-mints, not guard failures —
@@ -335,12 +299,11 @@ TEST(SuperblockSnapshot, RestoreLeavesNoSuperblockState)
 
     // Uninterrupted baseline, tier on.
     core::Machine baseline = makeMachine();
-    baseline.cpu().setSuperblocksEnabled(true);
     workloads::loadGuestProgram(baseline, prog);
     core::RunResult clean = baseline.cpu().run(core::RunLimits{});
     ASSERT_EQ(clean.reason, core::StopReason::kBreak);
     ASSERT_EQ(baseline.cpu().gpr(reg::v0), prog.expected_checksum);
-    auto expected = allCounters(baseline);
+    support::StatSet expected = baseline.counters();
     std::uint64_t clean_instructions =
         baseline.cpu().totalInstructions();
 
@@ -348,7 +311,6 @@ TEST(SuperblockSnapshot, RestoreLeavesNoSuperblockState)
     // construction, since the tier covers essentially every retired
     // instruction of the kernel.
     core::Machine machine = makeMachine();
-    machine.cpu().setSuperblocksEnabled(true);
     workloads::loadGuestProgram(machine, prog);
     core::RunLimits half;
     half.max_instructions = clean_instructions / 2;
@@ -360,7 +322,7 @@ TEST(SuperblockSnapshot, RestoreLeavesNoSuperblockState)
     // Taking the snapshot must not perturb the continuation.
     core::RunResult rest = machine.cpu().run(core::RunLimits{});
     ASSERT_EQ(rest.reason, core::StopReason::kBreak);
-    EXPECT_EQ(allCounters(machine), expected);
+    EXPECT_EQ(machine.counters().all(), expected.all());
 
     // Restoring must replay the identical tail, twice, re-minting
     // every block it needs (counter-invisibly).
@@ -372,7 +334,8 @@ TEST(SuperblockSnapshot, RestoreLeavesNoSuperblockState)
             machine.cpu().superblockStats().minted;
         core::RunResult replay = machine.cpu().run(core::RunLimits{});
         ASSERT_EQ(replay.reason, core::StopReason::kBreak);
-        EXPECT_EQ(allCounters(machine), expected) << "round " << round;
+        EXPECT_EQ(machine.counters().all(), expected.all())
+            << "round " << round;
         EXPECT_EQ(machine.cpu().gpr(reg::v0), prog.expected_checksum);
         // The tail re-minted blocks from scratch: restore left none.
         EXPECT_GT(machine.cpu().superblockStats().minted,

@@ -47,10 +47,11 @@ configFor(VmModel model, VmProgram program)
 }
 
 core::Machine
-makeMachine()
+makeMachine(core::HostTier tier = core::HostTier::kSuperblock)
 {
     core::MachineConfig config;
     config.dram_bytes = kDramBytes;
+    config.accel.tier = tier;
     return core::Machine(config);
 }
 
@@ -135,8 +136,9 @@ INSTANTIATE_TEST_SUITE_P(
                     : "_tree");
     });
 
-// --- lockstep oracle: VM guest x 3 models x fast-path modes ---
+// --- lockstep oracle: VM guest x 3 models x 2 host tiers ---
 
+/** Parameter: model x (superblock tier, else the reference tier). */
 class VmLockstep
     : public ::testing::TestWithParam<std::tuple<VmModel, bool>>
 {
@@ -144,14 +146,14 @@ class VmLockstep
 
 TEST_P(VmLockstep, ZeroDivergence)
 {
-    const auto &[model, fast_path] = GetParam();
+    const auto &[model, fast] = GetParam();
+    core::HostTier tier =
+        fast ? core::HostTier::kSuperblock : core::HostTier::kReference;
     workloads::GuestProgram prog = workloads::guestVm(
         configFor(model, VmProgram::kListChurn));
 
-    core::Machine machine = makeMachine();
+    core::Machine machine = makeMachine(tier);
     workloads::loadGuestProgram(machine, prog);
-    machine.cpu().setDecodeCacheEnabled(fast_path);
-    machine.cpu().setDataFastPathEnabled(fast_path);
 
     check::Lockstep lockstep(machine);
     check::LockstepResult result = lockstep.run();

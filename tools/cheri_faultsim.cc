@@ -20,14 +20,11 @@
  *                    front, each worker replays from a private
  *                    checkpoint clone, and records merge by trial
  *                    index.
- *     --fork-trials  run each trial on a COW fork of the worker's
- *                    pristine checkpoint parent instead of deep-
- *                    restoring the worker machine; the report is
- *                    byte-identical to restore mode
  *     --guests LIST  comma-separated subset of
  *                    treeadd,bisort,mst,em3d,vm (default all
  *                    Olden kernels; vm is opt-in)
- *     --slow         run the fast machine with fast paths disabled
+ *     --slow         build the fast machine at the reference tier
+ *                    (no host fast paths)
  *     --json PATH    write the JSON report to PATH ('-' for stdout)
  *     --quiet        suppress the summary table
  *     --selftest     run the campaign twice and verify: byte-identical
@@ -182,8 +179,6 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             config.jobs = support::parseJobsOrFatal(argv[++i],
                                                     "--jobs");
-        } else if (std::strcmp(argv[i], "--fork-trials") == 0) {
-            config.fork_machines = true;
         } else if (std::strcmp(argv[i], "--guests") == 0 &&
                    i + 1 < argc) {
             names = splitCommas(argv[++i]);
@@ -198,9 +193,8 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: cheri-faultsim [--trials N] [--seed N] "
-                         "[--jobs N] [--fork-trials] [--guests a,b] "
-                         "[--slow] [--json PATH] [--quiet] "
-                         "[--selftest]\n");
+                         "[--jobs N] [--guests a,b] [--slow] "
+                         "[--json PATH] [--quiet] [--selftest]\n");
             return 2;
         }
     }

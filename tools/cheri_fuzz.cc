@@ -2,9 +2,10 @@
  * @file
  * cheri-fuzz — capability-aware differential fuzzer. Generates seeded
  * guest programs biased toward CHERI edge cases (check/fuzz.h) and
- * runs each under the lockstep oracle (check/lockstep.h) against both
- * fetch fast-path modes. Any divergence is optionally shrunk to a
- * minimal op list and dumped as a .s reproducer.
+ * runs each under the lockstep oracle (check/lockstep.h) at the
+ * superblock tier and at the reference tier. Any divergence is
+ * optionally shrunk to a minimal op list and dumped as a .s
+ * reproducer.
  *
  * Usage:
  *   cheri-fuzz [options]
@@ -15,23 +16,11 @@
  *                          concurrency; 1 = serial). Output is
  *                          byte-identical for any N: seeds run on
  *                          private machines and are merged in order.
- *     --fork-machines      draw each pass's machine as a COW fork of
- *                          a per-worker pristine parent instead of a
- *                          fresh 4 MB machine; output is
- *                          byte-identical either way
  *     --shrink             ddmin-shrink a failing program before
  *                          dumping the reproducer
  *     --inject-fault tag-clear
  *                          arm the hierarchy's skip-tag-clear fault:
  *                          the oracle must catch it (self-test)
- *     --data-fastpath follow|on|off
- *                          data-side fast path per oracle pass:
- *                          follow the fetch toggle (default), force on
- *                          in both passes, or force off
- *     --superblock follow|on|off
- *                          superblock tier per oracle pass, same
- *                          shape as --data-fastpath (the tier is
- *                          inert without the decode cache)
  *     --prefetch none|nextline|capchase
  *                          hardware prefetcher in every fuzz machine
  *                          (default none); the oracle then checks
@@ -77,8 +66,6 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             config.jobs = support::parseJobsOrFatal(argv[++i],
                                                     "--jobs");
-        } else if (std::strcmp(argv[i], "--fork-machines") == 0) {
-            config.fork_machines = true;
         } else if (std::strcmp(argv[i], "--shrink") == 0) {
             config.shrink = true;
         } else if (std::strcmp(argv[i], "--inject-fault") == 0 &&
@@ -88,34 +75,6 @@ main(int argc, char **argv)
                 config.suppress_tag_clear = true;
             } else {
                 std::fprintf(stderr, "unknown fault kind %s\n", kind);
-                return 2;
-            }
-        } else if (std::strcmp(argv[i], "--data-fastpath") == 0 &&
-                   i + 1 < argc) {
-            const char *mode = argv[++i];
-            if (std::strcmp(mode, "follow") == 0) {
-                config.data_mode = check::DataFastPathMode::kFollow;
-            } else if (std::strcmp(mode, "on") == 0) {
-                config.data_mode = check::DataFastPathMode::kForceOn;
-            } else if (std::strcmp(mode, "off") == 0) {
-                config.data_mode = check::DataFastPathMode::kForceOff;
-            } else {
-                std::fprintf(stderr, "unknown data-fastpath mode %s\n",
-                             mode);
-                return 2;
-            }
-        } else if (std::strcmp(argv[i], "--superblock") == 0 &&
-                   i + 1 < argc) {
-            const char *mode = argv[++i];
-            if (std::strcmp(mode, "follow") == 0) {
-                config.sb_mode = check::SuperblockMode::kFollow;
-            } else if (std::strcmp(mode, "on") == 0) {
-                config.sb_mode = check::SuperblockMode::kForceOn;
-            } else if (std::strcmp(mode, "off") == 0) {
-                config.sb_mode = check::SuperblockMode::kForceOff;
-            } else {
-                std::fprintf(stderr, "unknown superblock mode %s\n",
-                             mode);
                 return 2;
             }
         } else if (std::strcmp(argv[i], "--prefetch") == 0 &&
@@ -137,10 +96,7 @@ main(int argc, char **argv)
             std::fprintf(
                 stderr,
                 "usage: cheri-fuzz [--seeds N] [--start-seed N] "
-                "[--jobs N] [--fork-machines] [--shrink] "
-                "[--inject-fault tag-clear] "
-                "[--data-fastpath follow|on|off] "
-                "[--superblock follow|on|off] "
+                "[--jobs N] [--shrink] [--inject-fault tag-clear] "
                 "[--prefetch none|nextline|capchase] "
                 "[--expect-divergence] [--quiet]\n");
             return 2;

@@ -47,31 +47,24 @@ namespace
 {
 
 void
-printStats(core::Machine &machine)
+printStats(const core::Machine &machine)
 {
-    core::Cpu &cpu = machine.cpu();
+    support::StatSet counters = machine.counters();
+    std::uint64_t instructions = counters.get("instructions");
+    std::uint64_t cycles = counters.get("cycles");
     std::printf("\n-- stats --\n");
     std::printf("instructions: %llu\n",
-                static_cast<unsigned long long>(
-                    cpu.totalInstructions()));
+                static_cast<unsigned long long>(instructions));
     std::printf("cycles:       %llu  (CPI %.2f)\n",
-                static_cast<unsigned long long>(cpu.totalCycles()),
-                cpu.totalInstructions()
-                    ? static_cast<double>(cpu.totalCycles()) /
-                          static_cast<double>(cpu.totalInstructions())
-                    : 0.0);
-    for (const auto &[name, value] : cpu.stats().all())
-        std::printf("%-18s %llu\n", name.c_str(),
-                    static_cast<unsigned long long>(value));
-    // collectStats already folds in the tag-manager counters; print
-    // only the TLB separately.
-    support::StatSet memory_stats = machine.memory().collectStats();
-    for (const auto &[name, value] : memory_stats.all())
-        std::printf("%-18s %llu\n", name.c_str(),
-                    static_cast<unsigned long long>(value));
-    for (const auto &[name, value] : machine.tlb().stats().all())
-        std::printf("%-18s %llu\n", name.c_str(),
-                    static_cast<unsigned long long>(value));
+                static_cast<unsigned long long>(cycles),
+                instructions ? static_cast<double>(cycles) /
+                                   static_cast<double>(instructions)
+                             : 0.0);
+    for (const auto &[name, value] : counters.all()) {
+        if (name != "instructions" && name != "cycles")
+            std::printf("%-18s %llu\n", name.c_str(),
+                        static_cast<unsigned long long>(value));
+    }
 }
 
 void

@@ -47,7 +47,8 @@
  *     --quarantine-after N
  *                      quarantine early after N consecutive
  *                      identical-fault incidents (default 0 = off)
- *     --slow           disable the host fast paths (forks inherit)
+ *     --slow           run at the reference host tier (forks
+ *                      inherit it)
  *     --measure-fork   time Machine::fork() of the warm parent and
  *                      append a "fork_measure" section (host timings
  *                      — omitted by default so the JSON stays
@@ -220,17 +221,18 @@ stormShotFor(std::uint64_t index, unsigned attempt,
     return shot;
 }
 
-/** Build the warm checkpoint: load the kernel, set the fast-path
- *  mode, retire the warm-up prefix, and stop at a commit boundary. */
+/** Build the warm checkpoint at the configured host tier: load the
+ *  kernel, retire the warm-up prefix, and stop at a commit boundary. */
 std::unique_ptr<core::Machine>
 buildParent(const ServeConfig &config,
             const workloads::GuestProgram &prog)
 {
-    auto machine = std::make_unique<core::Machine>();
+    core::MachineConfig machine_config;
+    machine_config.accel.tier = config.fast_paths
+                                    ? core::HostTier::kSuperblock
+                                    : core::HostTier::kReference;
+    auto machine = std::make_unique<core::Machine>(machine_config);
     workloads::loadGuestProgram(*machine, prog);
-    machine->cpu().setDecodeCacheEnabled(config.fast_paths);
-    machine->cpu().setDataFastPathEnabled(config.fast_paths);
-    machine->cpu().setSuperblocksEnabled(config.fast_paths);
 
     core::RunLimits limits;
     limits.max_instructions = config.warmup;
