@@ -312,19 +312,19 @@ Cache::clearTagIfResident(std::uint64_t paddr)
 }
 
 void
-Cache::restore(const Snapshot &snapshot)
+Cache::copyStateFrom(const Cache &other)
 {
-    if (snapshot.ways.size() != ways_.size()) {
-        support::panic("cache %s: snapshot has %llu ways, cache has "
+    if (other.ways_.size() != ways_.size()) {
+        support::panic("cache %s: source has %llu ways, cache has "
                        "%llu",
                        config_.name.c_str(),
                        static_cast<unsigned long long>(
-                           snapshot.ways.size()),
+                           other.ways_.size()),
                        static_cast<unsigned long long>(ways_.size()));
     }
-    ways_ = snapshot.ways;
-    lru_clock_ = snapshot.lru_clock;
-    stats_.assignFrom(snapshot.stats);
+    ways_ = other.ways_;
+    lru_clock_ = other.lru_clock_;
+    stats_.assignFrom(other.stats_);
     memo_.fill(Memo{});
 }
 

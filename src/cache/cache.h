@@ -113,22 +113,12 @@ class DramSource : public LineSource
     /** Total line transactions (reads + writes), for traffic stats. */
     std::uint64_t transactions() const { return transactions_; }
 
-    /** Transaction count + open-row state, for machine checkpointing. */
-    struct Snapshot
-    {
-        std::uint64_t transactions = 0;
-        std::uint64_t open_row = ~0ULL;
-    };
-
-    /** Capture transaction count and open-row state. */
-    Snapshot save() const { return Snapshot{transactions_, open_row_}; }
-
-    /** Restore transaction count and open-row state. */
+    /** Copy other's transaction count and open-row state. */
     void
-    restore(const Snapshot &snapshot)
+    copyStateFrom(const DramSource &other)
     {
-        transactions_ = snapshot.transactions;
-        open_row_ = snapshot.open_row;
+        transactions_ = other.transactions_;
+        open_row_ = other.open_row_;
     }
 
   private:
@@ -454,25 +444,12 @@ class Cache : public LineSource
     bool clearTagIfResident(std::uint64_t paddr);
 
     /**
-     * Full cache state (every way, the LRU clock, statistics),
-     * captured for machine checkpointing.
+     * Copy other's full cache state (every way, the LRU clock,
+     * statistics); the geometry must match. The findOrFill memo is
+     * cleared — memo hits replay identical simulated effects, so this
+     * cannot perturb counters, it only drops stale way links.
      */
-    struct Snapshot
-    {
-        std::vector<Way> ways;
-        std::uint64_t lru_clock = 0;
-        support::StatSet stats;
-    };
-
-    /** Capture full cache state. */
-    Snapshot save() const { return Snapshot{ways_, lru_clock_, stats_}; }
-
-    /**
-     * Restore full cache state; the geometry must match. The findOrFill
-     * memo is cleared — memo hits replay identical simulated effects,
-     * so this cannot perturb counters, it only drops stale way links.
-     */
-    void restore(const Snapshot &snapshot);
+    void copyStateFrom(const Cache &other);
 
   private:
     struct Way

@@ -18,15 +18,15 @@ CacheHierarchy::CacheHierarchy(mem::TagManager &manager,
     written_lines_.fill(~0ULL);
     static_assert(std::tuple_size_v<decltype(fetched_lines_)> ==
                   std::tuple_size_v<decltype(written_lines_)>);
+    // The prefetcher attaches at the L1D and the L2. The L1I is
+    // deliberately not an attach point: fetchLine hands out pointers
+    // into L1I way storage that must survive until the caller consumed
+    // them, and instruction lines never carry tags anyway.
     if (prefetcher_ != nullptr) {
-        if (prefetch_.attach_l1d) {
-            l1d_.armPrefetch();
-            l1d_.setFillListener(this);
-        }
-        if (prefetch_.attach_l2) {
-            l2_.armPrefetch();
-            l2_.setFillListener(this);
-        }
+        l1d_.armPrefetch();
+        l1d_.setFillListener(this);
+        l2_.armPrefetch();
+        l2_.setFillListener(this);
     }
 }
 
@@ -164,31 +164,18 @@ CacheHierarchy::flushAll()
     l2_.flush();
 }
 
-CacheHierarchy::Snapshot
-CacheHierarchy::save() const
-{
-    Snapshot snapshot;
-    snapshot.l2 = l2_.save();
-    snapshot.l1i = l1i_.save();
-    snapshot.l1d = l1d_.save();
-    snapshot.dram = dram_.save();
-    snapshot.fetched_lines = fetched_lines_;
-    snapshot.written_lines = written_lines_;
-    return snapshot;
-}
-
 void
-CacheHierarchy::restore(const Snapshot &snapshot)
+CacheHierarchy::copyStateFrom(const CacheHierarchy &other)
 {
-    l2_.restore(snapshot.l2);
-    l1i_.restore(snapshot.l1i);
-    l1d_.restore(snapshot.l1d);
-    dram_.restore(snapshot.dram);
-    fetched_lines_ = snapshot.fetched_lines;
-    written_lines_ = snapshot.written_lines;
-    // The trigger queue is empty at every operation boundary —
-    // snapshots are only taken there — so there is nothing to
-    // capture; just drop anything a mid-operation caller left behind.
+    l2_.copyStateFrom(other.l2_);
+    l1i_.copyStateFrom(other.l1i_);
+    l1d_.copyStateFrom(other.l1d_);
+    dram_.copyStateFrom(other.dram_);
+    fetched_lines_ = other.fetched_lines_;
+    written_lines_ = other.written_lines_;
+    // The trigger queue is empty at every operation boundary — copies
+    // are only made there — so there is nothing to copy; just drop
+    // anything a mid-operation caller left behind.
     pending_.clear();
 }
 

@@ -61,7 +61,7 @@ struct HierarchyConfig
     CacheConfig l1d{"l1d", 16 * 1024, 4, 1};
     CacheConfig l2{"l2", 64 * 1024, 8, 4};
     DramTiming dram;
-    /** Prefetcher selection and attach points (default: off). */
+    /** Prefetcher selection (default: off). */
     PrefetchConfig prefetch;
 };
 
@@ -353,27 +353,13 @@ class CacheHierarchy : private FillListener
     }
 
     /**
-     * Full hierarchy state (all three caches, DRAM open-row/transaction
-     * state, the fetch-coherence memos), captured for machine
-     * checkpointing. An exact deep copy — nothing is flushed, so a
-     * restored machine replays the same hit/miss/writeback sequence as
-     * the original.
+     * Copy other's full hierarchy state (all three caches, DRAM
+     * open-row/transaction state, the fetch-coherence memos); the
+     * geometry must match. An exact deep copy — nothing is flushed, so
+     * this hierarchy replays the same hit/miss/writeback sequence as
+     * other would.
      */
-    struct Snapshot
-    {
-        Cache::Snapshot l2;
-        Cache::Snapshot l1i;
-        Cache::Snapshot l1d;
-        DramSource::Snapshot dram;
-        std::array<std::uint64_t, 64> fetched_lines{};
-        std::array<std::uint64_t, 64> written_lines{};
-    };
-
-    /** Capture full hierarchy state. */
-    Snapshot save() const;
-
-    /** Restore full hierarchy state (geometry must match). */
-    void restore(const Snapshot &snapshot);
+    void copyStateFrom(const CacheHierarchy &other);
 
     Cache &l1i() { return l1i_; }
     Cache &l1d() { return l1d_; }
@@ -490,7 +476,7 @@ class CacheHierarchy : private FillListener
     /**
      * Issue queued prefetch triggers. Called at the end of every
      * public operation that can miss; the queue is empty at every
-     * operation boundary, so snapshots/forks need no prefetch state
+     * operation boundary, so forks/rollbacks need no prefetch state
      * and the fast-path replays (hits only — they can never enqueue)
      * need no drain hook.
      */

@@ -53,12 +53,6 @@ struct PrefetchConfig
     PrefetchPolicy policy = PrefetchPolicy::kNone;
     /** Max prefetch fills issued per demand-fill trigger. */
     unsigned degree = 2;
-    /** Attach points. The L1I is deliberately not an attach point:
-     *  fetchLine hands out pointers into L1I way storage that must
-     *  survive until the caller consumed them, and instruction lines
-     *  never carry tags anyway. */
-    bool attach_l1d = true;
-    bool attach_l2 = true;
 };
 
 /**
@@ -75,8 +69,8 @@ using PrefetchTranslator =
 /**
  * Candidate generator interface. Implementations must be stateless
  * across calls (beyond construction-time config): machine forks and
- * snapshot restores do not notify the prefetcher, so any per-call
- * state would break replay determinism.
+ * rollbacks do not notify the prefetcher, so any per-call state would
+ * break replay determinism.
  */
 class Prefetcher
 {

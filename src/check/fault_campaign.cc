@@ -64,35 +64,8 @@ num(std::uint64_t value)
 }
 
 /**
- * One worker's private replay context: a machine loaded with the
- * guest and its own S0 checkpoint. Loading is deterministic, so every
- * worker's S0 is bit-identical to the calibration machine's — a trial
- * produces the same record on any worker.
- */
-struct WorkerMachine
-{
-    WorkerMachine(const CampaignConfig &config,
-                  const CampaignGuest &guest)
-        : machine([&] {
-              core::MachineConfig machine_config;
-              machine_config.dram_bytes = config.dram_bytes;
-              machine_config.accel.tier =
-                  config.fast_paths ? core::HostTier::kSuperblock
-                                    : core::HostTier::kReference;
-              return machine_config;
-          }())
-    {
-        guest.load(machine);
-        s0 = machine.saveSnapshot();
-    }
-
-    core::Machine machine;
-    core::Machine::Snapshot s0;
-};
-
-/**
- * Replay one planned trial on a machine the caller has just restored
- * to the guest's S0 checkpoint and classify it (see the header's
+ * Replay one planned trial on a machine the caller has just rolled
+ * back to the guest's checkpoint and classify it (see the header's
  * outcome taxonomy).
  */
 TrialRecord
@@ -184,10 +157,18 @@ runGuest(const CampaignConfig &config, const CampaignGuest &guest,
     GuestReport report;
     report.name = guest.name;
 
-    // The calibration machine doubles as worker 0's replay context.
-    WorkerMachine calibration(config, guest);
-    core::Machine &machine = calibration.machine;
-    const core::Machine::Snapshot &s0 = calibration.s0;
+    // The loaded guest is the checkpoint every run starts from; it
+    // never runs itself. The calibration machine doubles as worker 0's
+    // replay machine.
+    core::MachineConfig machine_config;
+    machine_config.dram_bytes = config.dram_bytes;
+    machine_config.accel.tier = config.fast_paths
+                                    ? core::HostTier::kSuperblock
+                                    : core::HostTier::kReference;
+    core::Machine checkpoint(machine_config);
+    guest.load(checkpoint);
+    std::unique_ptr<core::Machine> calibration = checkpoint.fork();
+    core::Machine &machine = *calibration;
 
     // Clean watchdog-bounded run to calibrate the injection window.
     core::RunLimits limits;
@@ -204,10 +185,10 @@ runGuest(const CampaignConfig &config, const CampaignGuest &guest,
     report.clean_cycles = machine.cpu().totalCycles();
     std::uint64_t clean_checksum = machine.cpu().gpr(isa::reg::v0);
 
-    // Self-check: restoring S0 and re-running must reproduce the
-    // clean counters exactly — snapshot/restore alone may not perturb
-    // the simulation.
-    machine.restoreSnapshot(s0);
+    // Self-check: rolling back to the checkpoint and re-running must
+    // reproduce the clean counters exactly — the rollback alone may
+    // not perturb the simulation.
+    machine.restoreFrom(checkpoint);
     core::RunResult replay = machine.cpu().run(limits);
     report.restore_perturbed =
         replay.reason != core::StopReason::kBreak ||
@@ -244,24 +225,21 @@ runGuest(const CampaignConfig &config, const CampaignGuest &guest,
     }
 
     // Replay trials across the pool. Worker 0 reuses the calibration
-    // machine; the others lazily clone their own checkpointed machine
-    // the first time they claim a trial. Records land in trial order.
+    // machine; the others lazily fork their own from the checkpoint
+    // the first time they claim a trial. Every trial starts with a
+    // rollback, so a trial produces the same record on any worker.
+    // Records land in trial order.
     unsigned jobs = support::normalizeJobs(config.jobs);
-    std::vector<std::unique_ptr<WorkerMachine>> workers(jobs);
+    std::vector<std::unique_ptr<core::Machine>> workers(jobs);
+    workers[0] = std::move(calibration);
     report.trials = support::parallelMapOrdered<TrialRecord>(
         plans.size(), jobs, [&](std::size_t index, unsigned worker) {
-            WorkerMachine *context;
-            if (worker == 0) {
-                context = &calibration;
-            } else {
-                if (!workers[worker])
-                    workers[worker] = std::make_unique<WorkerMachine>(
-                        config, guest);
-                context = workers[worker].get();
-            }
-            context->machine.restoreSnapshot(context->s0);
-            return runTrial(guest, context->machine, plans[index],
-                            index, report.clean_instructions);
+            if (!workers[worker])
+                workers[worker] = checkpoint.fork();
+            core::Machine &replay = *workers[worker];
+            replay.restoreFrom(checkpoint);
+            return runTrial(guest, replay, plans[index], index,
+                            report.clean_instructions);
         });
 
     for (const TrialRecord &record : report.trials)

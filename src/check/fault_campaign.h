@@ -1,13 +1,14 @@
 /**
  * @file
  * The fault-injection campaign engine. For each guest kernel the
- * engine checkpoints the freshly loaded machine once
- * (core::Machine snapshot), measures a clean watchdog-bounded run,
- * proves that snapshot/restore alone does not perturb the
- * instruction/cycle counters, and then replays N trials from the
- * checkpoint: run a clean prefix in lockstep against the reference
- * CPU, apply one planned fault (check/fault_plan.h) at a seeded
- * retired-instruction count, and keep comparing until the pair stops.
+ * engine loads one checkpoint machine that never runs, measures a
+ * clean watchdog-bounded run on a fork of it, proves that rolling
+ * back to the checkpoint (core::Machine::restoreFrom) alone does not
+ * perturb the instruction/cycle counters, and then replays N trials
+ * from the checkpoint: roll back, run a clean prefix in lockstep
+ * against the reference CPU, apply one planned fault
+ * (check/fault_plan.h) at a seeded retired-instruction count, and
+ * keep comparing until the pair stops.
  *
  * Every trial is classified:
  *  - detected_trap:       the fast CPU raised a trap the clean
@@ -69,10 +70,11 @@ struct CampaignConfig
     std::uint64_t clean_budget = 100'000'000;
     /**
      * Worker threads replaying trials (0 = hardware concurrency,
-     * 1 = serial). Each worker owns a private machine cloned from the
-     * guest's checkpoint and trial plans are drawn serially up front,
-     * so the report — including toJson(), which deliberately omits
-     * this knob — is byte-identical for any value.
+     * 1 = serial). Each worker owns a private machine forked from the
+     * guest's checkpoint and rolls it back to the checkpoint before
+     * every trial, and trial plans are drawn serially up front, so the
+     * report — including toJson(), which deliberately omits this
+     * knob — is byte-identical for any value.
      */
     unsigned jobs = 1;
 };
@@ -115,10 +117,10 @@ struct GuestReport
     std::uint64_t clean_instructions = 0;
     std::uint64_t clean_cycles = 0;
     /**
-     * True when restoring the pristine checkpoint and re-running the
-     * guest did NOT reproduce the clean run's instruction/cycle
-     * counters and checksum — i.e. snapshot/restore itself perturbed
-     * the machine. Must be false everywhere.
+     * True when rolling the calibration machine back to the pristine
+     * checkpoint and re-running the guest did NOT reproduce the clean
+     * run's instruction/cycle counters and checksum — i.e. the
+     * rollback itself perturbed the machine. Must be false everywhere.
      */
     bool restore_perturbed = false;
     std::vector<TrialRecord> trials;

@@ -534,57 +534,30 @@ Cpu::run(const RunLimits &limits)
     return result;
 }
 
-Cpu::Snapshot
-Cpu::save() const
-{
-    Snapshot snapshot;
-    snapshot.gpr = gpr_;
-    snapshot.hi = hi_;
-    snapshot.lo = lo_;
-    snapshot.pc = pc_;
-    snapshot.next_pc = next_pc_;
-    snapshot.caps = caps_.save();
-    snapshot.cp2_enabled = cp2_enabled_;
-    snapshot.ll_valid = ll_valid_;
-    snapshot.ll_addr = ll_addr_;
-    snapshot.predictor = predictor_;
-    snapshot.cycles = cycles_;
-    snapshot.instructions = instructions_;
-    snapshot.current_pc = current_pc_;
-    snapshot.in_delay_slot = in_delay_slot_;
-    snapshot.branch_pending = branch_pending_;
-    snapshot.pcc_swap_countdown = pcc_swap_countdown_;
-    snapshot.pending_pcc = pending_pcc_;
-    snapshot.pending_trap = pending_trap_;
-    snapshot.trap_pending = trap_pending_;
-    snapshot.stats = stats_;
-    return snapshot;
-}
-
 void
-Cpu::restore(const Snapshot &snapshot)
+Cpu::copyStateFrom(const Cpu &other)
 {
-    gpr_ = snapshot.gpr;
-    hi_ = snapshot.hi;
-    lo_ = snapshot.lo;
-    pc_ = snapshot.pc;
-    next_pc_ = snapshot.next_pc;
-    caps_.restore(snapshot.caps);
-    cp2_enabled_ = snapshot.cp2_enabled;
-    ll_valid_ = snapshot.ll_valid;
-    ll_addr_ = snapshot.ll_addr;
-    predictor_ = snapshot.predictor;
-    cycles_ = snapshot.cycles;
-    instructions_ = snapshot.instructions;
-    current_pc_ = snapshot.current_pc;
-    in_delay_slot_ = snapshot.in_delay_slot;
-    branch_pending_ = snapshot.branch_pending;
-    pcc_swap_countdown_ = snapshot.pcc_swap_countdown;
-    pending_pcc_ = snapshot.pending_pcc;
-    pending_trap_ = snapshot.pending_trap;
-    trap_pending_ = snapshot.trap_pending;
-    stats_.assignFrom(snapshot.stats);
-    // Host-side accelerators are not snapshotted: drop them all and
+    gpr_ = other.gpr_;
+    hi_ = other.hi_;
+    lo_ = other.lo_;
+    pc_ = other.pc_;
+    next_pc_ = other.next_pc_;
+    caps_.restore(other.caps_.save());
+    cp2_enabled_ = other.cp2_enabled_;
+    ll_valid_ = other.ll_valid_;
+    ll_addr_ = other.ll_addr_;
+    predictor_ = other.predictor_;
+    cycles_ = other.cycles_;
+    instructions_ = other.instructions_;
+    current_pc_ = other.current_pc_;
+    in_delay_slot_ = other.in_delay_slot_;
+    branch_pending_ = other.branch_pending_;
+    pcc_swap_countdown_ = other.pcc_swap_countdown_;
+    pending_pcc_ = other.pending_pcc_;
+    pending_trap_ = other.pending_trap_;
+    trap_pending_ = other.trap_pending_;
+    stats_.assignFrom(other.stats_);
+    // Host-side accelerators are not copied: drop this core's own and
     // let the slow paths re-mint. Each replays identical simulated
     // effects, so this cannot perturb counters.
     ++decode_generation_;

@@ -105,7 +105,7 @@ struct SuperblockStats
     std::uint64_t minted = 0;      ///< blocks built (incl. re-mints)
     std::uint64_t entered = 0;     ///< successful block entries
     std::uint64_t guard_fails = 0; ///< entry probes that found a stale block
-    std::uint64_t invalidated = 0; ///< blocks dropped (restore, SMC abort)
+    std::uint64_t invalidated = 0; ///< blocks dropped (rollback, SMC abort)
     /** Instructions retired via superblock dispatch; the remainder of
      *  totalInstructions() went through the per-instruction path. */
     std::uint64_t instructions = 0;
@@ -123,8 +123,9 @@ enum class StopReason
      *  barrier: a state-integrity check (support::guestFault) fired
      *  under an active support::PanicScope and the run unwound
      *  cleanly instead of aborting. The machine stopped mid-
-     *  instruction and is poisoned — roll it back (restoreSnapshot)
-     *  or discard it (a supervisor re-forks); never resume it. */
+     *  instruction and is poisoned — roll it back
+     *  (Machine::restoreFrom) or discard it (a supervisor re-forks);
+     *  never resume it. */
     kInternalFault,
 };
 
@@ -288,9 +289,9 @@ class Cpu : private cache::FetchInvalidationListener
     /**
      * Drop every superblock (counts them as invalidated). Like the
      * other host accelerators this is never required for correctness
-     * — stale blocks fail their entry guards — but restore() uses it
-     * so snapshots leave zero superblock state behind, and tests use
-     * it to force re-mints.
+     * — stale blocks fail their entry guards — but copyStateFrom()
+     * uses it so forks and rollbacks carry no superblock state, and
+     * tests use it to force re-mints.
      */
     void invalidateSuperblocks();
 
@@ -323,39 +324,16 @@ class Cpu : private cache::FetchInvalidationListener
     bool debugWriteCap(std::uint64_t vaddr, const cap::Capability &value);
 
     /**
-     * Full architectural core state plus timing-visible
-     * microarchitectural state (branch predictor, LL/SC monitor,
-     * in-flight delay-slot/PCC-swap/trap bookkeeping) and counters,
-     * captured for machine checkpointing. Host-only accelerators
-     * (decode cache, fetch hint, data memo, PCC window) are *not*
-     * saved — restore() invalidates them and they re-mint through
-     * slow paths that replay identical simulated effects.
+     * Make this core's simulated state a copy of other's (same
+     * CpuAccelConfig and timing): full architectural state, the
+     * timing-visible microarchitectural state (branch predictor, LL/SC
+     * monitor, in-flight delay-slot/PCC-swap/trap bookkeeping) and the
+     * counters. Host-only accelerators (decode cache, fetch hint, data
+     * memo, superblocks, PCC window) are not copied: this core's own
+     * are dropped and re-mint through slow paths that replay identical
+     * simulated effects.
      */
-    struct Snapshot
-    {
-        std::array<std::uint64_t, 32> gpr{};
-        std::uint64_t hi = 0, lo = 0;
-        std::uint64_t pc = 0, next_pc = 4;
-        cap::CapRegFile::Snapshot caps;
-        bool cp2_enabled = true;
-        bool ll_valid = false;
-        std::uint64_t ll_addr = 0;
-        std::vector<std::uint8_t> predictor;
-        std::uint64_t cycles = 0, instructions = 0;
-        std::uint64_t current_pc = 0;
-        bool in_delay_slot = false, branch_pending = false;
-        unsigned pcc_swap_countdown = 0;
-        cap::Capability pending_pcc;
-        Trap pending_trap;
-        bool trap_pending = false;
-        support::StatSet stats;
-    };
-
-    /** Capture core state. */
-    Snapshot save() const;
-
-    /** Restore core state and invalidate every host-side memo. */
-    void restore(const Snapshot &snapshot);
+    void copyStateFrom(const Cpu &other);
 
     /**
      * Fault injection: repoint one live data-memo entry's L1D line

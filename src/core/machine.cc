@@ -32,20 +32,33 @@ Machine::Machine(const MachineConfig &config,
 std::unique_ptr<Machine>
 Machine::fork() const
 {
+    // DRAM and tags come with the forked store. Building over a fresh
+    // store and adopting would first point every slot at a zero page
+    // of its own, only to overwrite them all.
     std::unique_ptr<Machine> child(
         new Machine(config_, store_->fork()));
-    // DRAM and tags came with the forked store; everything else is
-    // small state carried over through the existing snapshot paths,
-    // which also drop host accelerators in the child (its cache Way
-    // storage is a fresh copy — parent LineHandle memos must not
-    // survive into it).
-    child->tag_manager_.restore(tag_manager_.save());
-    child->hierarchy_.restore(hierarchy_.save());
-    child->page_table_.restore(page_table_.save());
-    child->tlb_.restore(tlb_.save());
-    child->cpu_.restore(cpu_.save());
-    child->next_frame_ = next_frame_;
+    child->copyStateFrom(*this);
     return child;
+}
+
+void
+Machine::restoreFrom(const Machine &checkpoint)
+{
+    store_->adopt(*checkpoint.store_);
+    copyStateFrom(checkpoint);
+}
+
+void
+Machine::copyStateFrom(const Machine &other)
+{
+    tag_manager_.copyStateFrom(other.tag_manager_);
+    hierarchy_.copyStateFrom(other.hierarchy_);
+    page_table_ = other.page_table_;
+    tlb_.copyStateFrom(other.tlb_);
+    // Last: drops this core's host accelerators, including LineHandle
+    // memos into the cache ways just overwritten.
+    cpu_.copyStateFrom(other.cpu_);
+    next_frame_ = other.next_frame_;
 }
 
 support::StatSet
@@ -130,32 +143,6 @@ Machine::loadProgram(std::uint64_t vaddr,
     // cache's) view; any predecoded lines for recycled frames are now
     // stale.
     cpu_.invalidateDecodeCache();
-}
-
-Machine::Snapshot
-Machine::saveSnapshot() const
-{
-    Snapshot snapshot;
-    snapshot.memory = store_->fork();
-    snapshot.tag_manager = tag_manager_.save();
-    snapshot.caches = hierarchy_.save();
-    snapshot.page_table = page_table_.save();
-    snapshot.tlb = tlb_.save();
-    snapshot.cpu = cpu_.save();
-    snapshot.next_frame = next_frame_;
-    return snapshot;
-}
-
-void
-Machine::restoreSnapshot(const Snapshot &snapshot)
-{
-    store_->adopt(*snapshot.memory);
-    tag_manager_.restore(snapshot.tag_manager);
-    hierarchy_.restore(snapshot.caches);
-    page_table_.restore(snapshot.page_table);
-    tlb_.restore(snapshot.tlb);
-    cpu_.restore(snapshot.cpu);
-    next_frame_ = snapshot.next_frame;
 }
 
 void

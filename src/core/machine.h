@@ -109,63 +109,33 @@ class Machine
      * order: "instructions" and "cycles", the CPU's instruction-class
      * counters, the memory system's (caches, DRAM and tag manager,
      * see CacheHierarchy::collectStats) and the TLB's. The set is
-     * identical at every HostTier and across forks and restores;
+     * identical at every HostTier and across forks and rollbacks;
      * host-tier counters (Cpu::superblockStats) stay out of it.
      * Returned by value: bind it to a local before iterating all().
      */
     support::StatSet counters() const;
 
     /**
-     * A full-machine checkpoint: every layer's simulated state (DRAM
-     * bytes, tag table, tag cache, all three caches with dirty lines
-     * and LRU, DRAM open-row state, TLB, page table, CPU core state)
-     * plus every statistics counter. DRAM and the tag table are held
-     * as an exact COW image: a frozen CowStore::fork() that shares
-     * every page with the machine, so saving and restoring cost
-     * O(page count) and untouched pages stay on the shared zero page.
-     * Nothing is flushed or invalidated on save, so a restored machine
-     * replays the identical transaction, hit/miss, and cycle sequence
-     * the original would have from the checkpoint; host-only
-     * accelerators (decode cache, fetch/data memos) are dropped on
-     * restore and re-mint through effect-identical slow paths.
-     * Snapshots are only valid for machines of the identical
-     * MachineConfig.
-     */
-    struct Snapshot
-    {
-        std::shared_ptr<const mem::CowStore> memory;
-        mem::TagManager::Snapshot tag_manager;
-        cache::CacheHierarchy::Snapshot caches;
-        tlb::PageTable::Snapshot page_table;
-        tlb::Tlb::Snapshot tlb;
-        Cpu::Snapshot cpu;
-        std::uint64_t next_frame = 0;
-    };
-
-    /** Capture a full-machine checkpoint. */
-    Snapshot saveSnapshot() const;
-
-    /** Restore a full-machine checkpoint (same-config machine). */
-    void restoreSnapshot(const Snapshot &snapshot);
-
-    /**
-     * Mint a lightweight child machine sharing this machine's DRAM
-     * and tag pages copy-on-write. Cost is O(page count) pointer
-     * copies plus the small-state snapshot (caches, TLB, CPU core) —
-     * no DRAM bytes move until one side writes, when the faulting
-     * store clones just that 4 KB page and its tag slice.
+     * Mint a child machine sharing this machine's DRAM and tag pages
+     * copy-on-write. Cost is O(page count) pointer copies plus one
+     * copy of the small state (tag cache, caches with dirty lines and
+     * LRU, DRAM open-row state, page table, TLB, CPU core and every
+     * counter) — no DRAM bytes move until one side writes, when the
+     * faulting store clones just that 4 KB page and its tag slice.
      *
      * The child is an exact simulated-state clone: it replays the
      * identical transaction, hit/miss, and cycle sequence the parent
      * would from this point. It is built from this machine's
      * MachineConfig, so it runs at the same HostTier. Host-only
      * accelerator state (decode cache, fetch/data memos, superblocks)
-     * is dropped in the child exactly as restoreSnapshot() drops it —
-     * the child's cache Way storage is a fresh copy, so any
-     * LineHandle memos pointing into the parent's ways must not
-     * survive the fork. Host-side hooks
-     * (syscall handler, store observers, armed behavioural faults)
-     * are NOT copied; re-arm them on the child if needed.
+     * is not copied: the child's cache Way storage is a fresh copy, so
+     * no LineHandle memo pointing into the parent's ways may survive
+     * into it. Host-side hooks (syscall handler, store observers,
+     * armed behavioural faults) are NOT copied; re-arm them on the
+     * child if needed.
+     *
+     * A fork that never runs is a checkpoint: restoreFrom() rolls any
+     * same-config machine back to it, as often as needed.
      *
      * Forking a quiescent parent is thread-safe (shared pages are
      * never written in place); the parent must outlive no one, but
@@ -174,12 +144,31 @@ class Machine
      */
     std::unique_ptr<Machine> fork() const;
 
+    /**
+     * Roll this machine back to checkpoint's state in place: adopt its
+     * DRAM and tag pages copy-on-write (CowStore::adopt, O(page
+     * count); pages on the shared zero page stay there) and copy its
+     * small state exactly as fork() does, dropping this machine's host
+     * accelerators. Nothing is built or flushed, so this machine then
+     * replays the identical transaction, hit/miss, and cycle sequence
+     * checkpoint would. Both sides stay isolated: a later write on
+     * either clones the page first. This machine keeps its own host
+     * hooks. checkpoint must be another machine with an identical
+     * MachineConfig and must not run concurrently; several machines
+     * may restore from one quiescent checkpoint at once.
+     */
+    void restoreFrom(const Machine &checkpoint);
+
     /** This machine's backing store: COW metrics and zero-page slots. */
     const mem::CowStore &cowStore() const { return *store_; }
 
   private:
     Machine(const MachineConfig &config,
             std::shared_ptr<mem::CowStore> store);
+
+    /** Everything but DRAM and tags: the half fork() and
+     *  restoreFrom() share. */
+    void copyStateFrom(const Machine &other);
 
     MachineConfig config_;
     std::shared_ptr<mem::CowStore> store_;

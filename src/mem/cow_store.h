@@ -89,9 +89,10 @@ class CowStore
     std::shared_ptr<CowStore> fork() const;
 
     /**
-     * Make this store share every page of 'image' (typically a
-     * frozen fork kept as a checkpoint): O(page count), no data
-     * moves. The sizes must match. The COW fault count is kept.
+     * Make this store share every page of 'image' (the store of the
+     * checkpoint Machine::restoreFrom rolls back to): O(page count),
+     * no data moves, and a later write on either side clones the page
+     * first. The sizes must match. The COW fault count is kept.
      */
     void adopt(const CowStore &image);
 

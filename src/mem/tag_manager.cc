@@ -74,25 +74,14 @@ TagManager::readTag(std::uint64_t paddr)
     return tags_.get(paddr);
 }
 
-TagManager::Snapshot
-TagManager::save() const
-{
-    Snapshot snapshot;
-    snapshot.lru.assign(lru_.begin(), lru_.end());
-    snapshot.stats = stats_;
-    return snapshot;
-}
-
 void
-TagManager::restore(const Snapshot &snapshot)
+TagManager::copyStateFrom(const TagManager &other)
 {
-    lru_.clear();
+    lru_ = other.lru_;
     cached_.clear();
-    for (std::uint64_t table_line : snapshot.lru) {
-        lru_.push_back(table_line);
-        cached_[table_line] = std::prev(lru_.end());
-    }
-    stats_.assignFrom(snapshot.stats);
+    for (auto it = lru_.begin(); it != lru_.end(); ++it)
+        cached_[*it] = it;
+    stats_.assignFrom(other.stats_);
 }
 
 } // namespace cheri::mem

@@ -75,21 +75,11 @@ class TagManager
     void resetStats() { stats_.reset(); }
 
     /**
-     * Tag-cache occupancy (most-recent-first) plus statistics,
-     * captured for machine checkpointing. Data and tags themselves
-     * live in PhysicalMemory/TagTable and are snapshotted there.
+     * Copy other's tag-cache occupancy (LRU order kept) and
+     * statistics. Data and tags themselves live in the COW store the
+     * machine copies separately.
      */
-    struct Snapshot
-    {
-        std::vector<std::uint64_t> lru;
-        support::StatSet stats;
-    };
-
-    /** Capture tag-cache contents and statistics. */
-    Snapshot save() const;
-
-    /** Restore tag-cache contents and statistics. */
-    void restore(const Snapshot &snapshot);
+    void copyStateFrom(const TagManager &other);
 
   private:
     /** Touch the tag cache for the table line covering paddr. */

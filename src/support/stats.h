@@ -60,7 +60,8 @@ class StatSet
      * Overwrite this set's counters with other's values. Slots that
      * exist here but not in other are zeroed in place rather than
      * erased, so counter() references survive (mirrors reset()).
-     * Used by snapshot restore to roll statistics back exactly.
+     * Used by the copyStateFrom of every layer (fork, rollback) to
+     * copy statistics exactly.
      */
     void
     assignFrom(const StatSet &other)

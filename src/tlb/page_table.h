@@ -61,18 +61,6 @@ class PageTable
     /** Number of mappings. */
     std::size_t size() const { return entries_.size(); }
 
-    /** All mappings, captured for machine checkpointing. */
-    struct Snapshot
-    {
-        std::unordered_map<std::uint64_t, Pte> entries;
-    };
-
-    /** Capture all mappings. */
-    Snapshot save() const { return Snapshot{entries_}; }
-
-    /** Restore all mappings (the TLB is restored by its owner). */
-    void restore(const Snapshot &snapshot) { entries_ = snapshot.entries; }
-
   private:
     std::unordered_map<std::uint64_t, Pte> entries_;
 };

@@ -96,32 +96,22 @@ Tlb::corruptEntry(std::uint64_t vpn, const Pte &pte)
     return true;
 }
 
-Tlb::Snapshot
-Tlb::save() const
-{
-    Snapshot snapshot;
-    snapshot.entries.reserve(cached_.size());
-    for (std::uint64_t vpn : lru_)
-        snapshot.entries.emplace_back(vpn, cached_.at(vpn).pte);
-    snapshot.stats = stats_;
-    return snapshot;
-}
-
 void
-Tlb::restore(const Snapshot &snapshot)
+Tlb::copyStateFrom(const Tlb &other)
 {
     lru_.clear();
     cached_.clear();
-    for (const auto &[vpn, pte] : snapshot.entries) {
+    for (std::uint64_t vpn : other.lru_) {
         lru_.push_back(vpn);
-        cached_.emplace(vpn, CachedEntry{pte, std::prev(lru_.end())});
+        cached_.emplace(vpn, CachedEntry{other.cached_.at(vpn).pte,
+                                         std::prev(lru_.end())});
     }
-    // The generation stays monotonic (never restored): outstanding
+    // The generation stays monotonic (never copied): outstanding
     // hints hold CachedEntry pointers into the container we just
     // rebuilt, and only a fresh generation value keeps them all stale.
     ++generation_;
     memo_.fill(TranslateMemo{});
-    stats_.assignFrom(snapshot.stats);
+    stats_.assignFrom(other.stats_);
 }
 
 TlbResult

@@ -312,26 +312,13 @@ class Tlb
     bool corruptEntry(std::uint64_t vpn, const Pte &pte);
 
     /**
-     * Cached entries in LRU order plus statistics, captured for
-     * machine checkpointing. The backing PageTable is snapshotted
-     * separately by its owner.
+     * Copy other's cached entries (LRU order kept) and statistics;
+     * the backing PageTable is copied separately by its owner. Bumps
+     * the generation and clears the memo, so host-side hints re-mint
+     * through the slow path — which replays hits exactly, leaving
+     * counters unperturbed.
      */
-    struct Snapshot
-    {
-        /** (vpn, pte), most-recently-used first. */
-        std::vector<std::pair<std::uint64_t, Pte>> entries;
-        support::StatSet stats;
-    };
-
-    /** Capture cached entries and statistics. */
-    Snapshot save() const;
-
-    /**
-     * Restore cached entries and statistics. Bumps the generation and
-     * clears the memo, so host-side hints re-mint through the slow
-     * path — which replays hits exactly, leaving counters unperturbed.
-     */
-    void restore(const Snapshot &snapshot);
+    void copyStateFrom(const Tlb &other);
 
   private:
     /** Out-of-line halves of translate/translateFetch. */

@@ -1,15 +1,18 @@
 /**
  * @file
- * Copy-on-write fork correctness. Machine::fork() must be an exact
- * clone of the simulated state (differential against a fresh
- * machine restored from a snapshot, across kernels and host
- * tiers), siblings must be fully isolated (randomized
- * interleaved writes in K forks swept against per-fork models over
- * every DRAM line and tag), fork must chain (fork-of-fork sees
- * ancestor writes made before its mint, never after), the COW
- * accounting (CowStore::cowFaults / sharedPages) must tick exactly on
- * first writes, the shared zero page must never be written in place,
- * and a fork must run at its parent's host tier.
+ * Machine copies: fork() and restoreFrom() share one copy path, and
+ * this file proves it observationally invisible (MachineCopy: across
+ * kernels and host tiers, a fork and a rolled-back machine finish bit
+ * for bit equal to an uninterrupted run; ForkVsClone: a fork and a
+ * fresh machine rolled back to the same parent finish bit for bit
+ * equal to each other). Siblings must be fully
+ * isolated (randomized interleaved writes in K forks swept against
+ * per-fork models over every DRAM line and tag), and so must a
+ * rolled-back machine and its live checkpoint; fork must chain
+ * (fork-of-fork sees ancestor writes made before its mint, never
+ * after), the COW accounting (CowStore::cowFaults / sharedPages) must
+ * tick exactly on first writes, the shared zero page must never be
+ * written in place, and a fork must run at its parent's host tier.
  */
 
 #include <algorithm>
@@ -27,6 +30,7 @@
 #include "isa/assembler.h"
 #include "mem/cow_store.h"
 #include "support/rng.h"
+#include "support/stats.h"
 #include "workloads/guest_olden.h"
 
 namespace
@@ -174,15 +178,14 @@ TEST(MachineFork, ForkAndRestoreKeepUntouchedSlotsOnTheZeroPage)
     core::Machine parent(smallConfig());
     const std::uint64_t written = 3, untouched = 5, later = 7;
     parent.dram().writeByte(written * mem::kCowPageBytes, 1);
-    std::unique_ptr<core::Machine> child = parent.fork();
-    EXPECT_TRUE(child->cowStore().isZeroPage(untouched));
-    EXPECT_FALSE(child->cowStore().isZeroPage(written));
+    std::unique_ptr<core::Machine> checkpoint = parent.fork();
+    EXPECT_TRUE(checkpoint->cowStore().isZeroPage(untouched));
+    EXPECT_FALSE(checkpoint->cowStore().isZeroPage(written));
 
-    core::Machine::Snapshot snapshot = parent.saveSnapshot();
     parent.dram().writeByte(later * mem::kCowPageBytes, 2);
     parent.tagTable().set(untouched * mem::kCowPageBytes, true);
     EXPECT_FALSE(parent.cowStore().isZeroPage(later));
-    parent.restoreSnapshot(snapshot);
+    parent.restoreFrom(*checkpoint);
     EXPECT_TRUE(parent.cowStore().isZeroPage(untouched));
     EXPECT_TRUE(parent.cowStore().isZeroPage(later));
     EXPECT_FALSE(parent.cowStore().isZeroPage(written));
@@ -190,12 +193,46 @@ TEST(MachineFork, ForkAndRestoreKeepUntouchedSlotsOnTheZeroPage)
     EXPECT_EQ(parent.dram().readByte(written * mem::kCowPageBytes), 1u);
     EXPECT_FALSE(parent.tagTable().get(untouched * mem::kCowPageBytes));
 
-    // A machine restored from another machine's snapshot adopts that
-    // machine's zero page too.
+    // A fresh machine rolled back to another machine's checkpoint
+    // adopts that machine's zero page too.
     core::Machine restored(smallConfig());
-    restored.restoreSnapshot(snapshot);
+    restored.restoreFrom(*checkpoint);
     EXPECT_TRUE(restored.cowStore().isZeroPage(untouched));
     EXPECT_FALSE(restored.cowStore().isZeroPage(written));
+}
+
+/**
+ * A rolled-back machine shares every page with its checkpoint, and the
+ * checkpoint is a live Machine that can still be written: a write on
+ * either side must clone the page first and stay invisible to the
+ * other.
+ */
+TEST(MachineFork, RestoreFromIsIsolatedFromItsCheckpoint)
+{
+    core::Machine checkpoint(smallConfig());
+    const std::uint64_t page = 4 * mem::kCowPageBytes;
+    checkpoint.dram().writeByte(page, 0x11);
+    checkpoint.tagTable().set(page, true);
+    core::Machine machine(smallConfig());
+    machine.restoreFrom(checkpoint);
+    ASSERT_EQ(machine.dram().readByte(page), 0x11u);
+    ASSERT_TRUE(machine.tagTable().get(page));
+
+    // Each side writes a byte and a tag of the shared page: one the
+    // other side has, one it does not.
+    machine.dram().writeByte(page, 0x22);
+    machine.tagTable().set(page, false);
+    checkpoint.dram().writeByte(page + 1, 0x33);
+    checkpoint.tagTable().set(page + mem::kLineBytes, true);
+
+    EXPECT_EQ(checkpoint.dram().readByte(page), 0x11u);
+    EXPECT_TRUE(checkpoint.tagTable().get(page));
+    EXPECT_EQ(machine.dram().readByte(page + 1), 0u);
+    EXPECT_FALSE(machine.tagTable().get(page + mem::kLineBytes));
+    EXPECT_EQ(machine.dram().readByte(page), 0x22u);
+    EXPECT_FALSE(machine.tagTable().get(page));
+    EXPECT_EQ(checkpoint.dram().readByte(page + 1), 0x33u);
+    EXPECT_TRUE(checkpoint.tagTable().get(page + mem::kLineBytes));
 }
 
 // --- Machine::fork basics --------------------------------------------
@@ -218,11 +255,11 @@ TEST(MachineFork, SnapshotRoundTripsOnAFork)
     workloads::GuestProgram prog = kernelByName("treeadd");
     workloads::loadGuestProgram(parent, prog);
     std::unique_ptr<core::Machine> child = parent.fork();
-    core::Machine::Snapshot mid = child->saveSnapshot();
+    std::unique_ptr<core::Machine> mid = child->fork();
     core::RunLimits limits;
     limits.max_instructions = 500;
     child->cpu().run(limits);
-    child->restoreSnapshot(mid);
+    child->restoreFrom(*mid);
     core::RunResult done = child->cpu().run(core::RunLimits{});
     EXPECT_EQ(done.reason, core::StopReason::kBreak);
     EXPECT_EQ(child->cpu().gpr(isa::reg::v0), prog.expected_checksum);
@@ -250,7 +287,105 @@ TEST(MachineFork, ForkChainSeesAncestorWritesNotDescendants)
         EXPECT_EQ(chain[i]->dram().readByte(0), 1u);
 }
 
-// --- fork vs snapshot clone differential -----------------------------
+// --- one copy path: fork and restoreFrom are invisible --------------
+
+/** Parameter: kernel x host tier. */
+class MachineCopy
+    : public ::testing::TestWithParam<std::tuple<std::string, core::HostTier>>
+{
+};
+
+TEST_P(MachineCopy, ForkAndRestoreFromAreInvisible)
+{
+    const auto &[kernel, tier] = GetParam();
+    const bool superblocks = tier == core::HostTier::kSuperblock;
+    workloads::GuestProgram prog = kernelByName(kernel);
+    core::MachineConfig config = smallConfig();
+    config.accel.tier = tier;
+
+    // Uninterrupted baseline. Two runs are "the same" iff every
+    // simulated counter (Machine::counters()) is equal.
+    core::Machine baseline(config);
+    workloads::loadGuestProgram(baseline, prog);
+    ASSERT_EQ(baseline.cpu().run(core::RunLimits{}).reason,
+              core::StopReason::kBreak);
+    ASSERT_EQ(baseline.cpu().gpr(isa::reg::v0), prog.expected_checksum);
+    support::StatSet expected = baseline.counters();
+    std::uint64_t clean_instructions = baseline.cpu().totalInstructions();
+    ASSERT_GT(clean_instructions, 100u);
+
+    // Fork mid-kernel — mid-superblock-working-set at kSuperblock. The
+    // fork never runs: it is the checkpoint.
+    core::Machine parent(config);
+    workloads::loadGuestProgram(parent, prog);
+    core::RunLimits half;
+    half.max_instructions = clean_instructions / 2;
+    ASSERT_EQ(parent.cpu().run(half).reason, core::StopReason::kInstLimit);
+    if (superblocks) {
+        ASSERT_GT(parent.cpu().superblockStats().entered, 0u);
+    }
+    std::unique_ptr<core::Machine> checkpoint = parent.fork();
+
+    // Forking must not perturb the parent's continuation...
+    ASSERT_EQ(parent.cpu().run(core::RunLimits{}).reason,
+              core::StopReason::kBreak);
+    EXPECT_EQ(parent.counters().all(), expected.all());
+    EXPECT_EQ(parent.cpu().gpr(isa::reg::v0), prog.expected_checksum);
+
+    // ...and a fork of the fork finishes bit for bit equal to it: all
+    // counters, every DRAM line with its tag.
+    std::unique_ptr<core::Machine> replay = checkpoint->fork();
+    ASSERT_EQ(replay->cpu().run(core::RunLimits{}).reason,
+              core::StopReason::kBreak);
+    EXPECT_EQ(replay->counters().all(), expected.all());
+    EXPECT_EQ(replay->cpu().gpr(isa::reg::v0), prog.expected_checksum);
+    EXPECT_EQ(dramMismatch(*replay,
+                           [&](std::uint64_t paddr) {
+                               return taggedLine(parent, paddr);
+                           }),
+              "");
+
+    // Rolling back to the checkpoint must replay the identical tail,
+    // twice, to the same DRAM. The rollback keeps no superblock: the
+    // tail mints every block it needs afresh, counter-invisibly.
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        replay->restoreFrom(*checkpoint);
+        EXPECT_EQ(replay->cpu().totalInstructions(), half.max_instructions);
+        core::SuperblockStats before = replay->cpu().superblockStats();
+        ASSERT_EQ(replay->cpu().run(core::RunLimits{}).reason,
+                  core::StopReason::kBreak);
+        EXPECT_EQ(replay->counters().all(), expected.all());
+        EXPECT_EQ(replay->cpu().gpr(isa::reg::v0), prog.expected_checksum);
+        EXPECT_EQ(dramMismatch(*replay,
+                               [&](std::uint64_t paddr) {
+                                   return taggedLine(parent, paddr);
+                               }),
+                  "");
+        if (superblocks) {
+            // A block kept across the rollback would fail its entry
+            // guard; the kernels modify no code, so none may.
+            const core::SuperblockStats &after =
+                replay->cpu().superblockStats();
+            EXPECT_GT(after.minted, before.minted);
+            EXPECT_EQ(after.guard_fails, before.guard_fails);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKernels, MachineCopy,
+    ::testing::Combine(::testing::Values("treeadd", "bisort", "mst",
+                                         "em3d"),
+                       ::testing::Values(core::HostTier::kReference,
+                                         core::HostTier::kFast,
+                                         core::HostTier::kSuperblock)),
+    [](const auto &info) {
+        return std::get<0>(info.param) + "_" +
+               core::hostTierName(std::get<1>(info.param));
+    });
+
+// --- fork vs restoreFrom clone differential -------------------------
 
 /** Parameter: kernel x (above the reference tier, superblock tier). */
 class ForkVsClone
@@ -276,10 +411,12 @@ TEST_P(ForkVsClone, ForkedRunMatchesDeepCloneBitForBit)
     ASSERT_EQ(parent.cpu().run(warm).reason,
               core::StopReason::kInstLimit);
 
-    // Snapshot clone: a fresh machine of the parent's config (host
-    // tier included) plus a full snapshot restore.
+    // Clone: a fresh machine of the parent's config (host tier
+    // included, its own store and zero page) rolled back to the
+    // parent. fork() reaches the same state over store_->fork()
+    // instead, so the two builds must agree.
     core::Machine clone(parent.config());
-    clone.restoreSnapshot(parent.saveSnapshot());
+    clone.restoreFrom(parent);
 
     std::unique_ptr<core::Machine> fork = parent.fork();
 

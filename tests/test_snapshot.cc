@@ -1,16 +1,19 @@
 /**
  * @file
- * Machine snapshot/restore determinism. The core guarantee the
- * fault-injection campaign rests on: saving a full-machine snapshot
- * mid-kernel and restoring it later must be invisible to the
- * simulation — the restored run retires the same instructions, burns
- * the same cycles, and takes the same cache/TLB/tag hits as an
- * uninterrupted run, bit for bit, at the reference and superblock
- * host tiers. Also covers the watchdog budgets (structured kInstLimit /
+ * Checkpoint/rollback determinism. The core guarantee the
+ * fault-injection campaign rests on: forking a checkpoint mid-kernel
+ * (Machine::fork) and rolling the running machine back to it later
+ * (Machine::restoreFrom) must be invisible to the simulation — the
+ * rolled-back run retires the same instructions, burns the same
+ * cycles, and takes the same cache/TLB/tag hits as an uninterrupted
+ * run, bit for bit, at the reference and superblock host tiers
+ * (MachineCopy in test_cow_fork.cc adds the fast tier and DRAM).
+ * Also covers the watchdog budgets (structured kInstLimit /
  * kCycleLimit results), the structured allocation errors on
  * core::Machine, and the fault-campaign engine's reproducibility.
  */
 
+#include <memory>
 #include <string>
 #include <tuple>
 
@@ -72,7 +75,7 @@ TEST_P(SnapshotOlden, SaveAndRestoreAreInvisible)
         baseline.cpu().totalInstructions();
     ASSERT_GT(clean_instructions, 100u);
 
-    // Same run, but snapshot mid-kernel. Taking the snapshot must not
+    // Same run, but fork a checkpoint mid-kernel. Taking it must not
     // perturb the continuation...
     core::Machine machine = makeMachine(tier);
     workloads::loadGuestProgram(machine, prog);
@@ -80,15 +83,16 @@ TEST_P(SnapshotOlden, SaveAndRestoreAreInvisible)
     half.max_instructions = clean_instructions / 2;
     core::RunResult mid = machine.cpu().run(half);
     ASSERT_EQ(mid.reason, core::StopReason::kInstLimit);
-    core::Machine::Snapshot snapshot = machine.saveSnapshot();
+    std::unique_ptr<core::Machine> checkpoint = machine.fork();
     core::RunResult rest = machine.cpu().run(core::RunLimits{});
     ASSERT_EQ(rest.reason, core::StopReason::kBreak);
     EXPECT_EQ(machine.counters().all(), expected.all());
     EXPECT_EQ(machine.cpu().gpr(isa::reg::v0), prog.expected_checksum);
 
-    // ...and restoring it must replay the identical tail, twice.
+    // ...and rolling the same machine back to it must replay the
+    // identical tail, twice.
     for (int round = 0; round < 2; ++round) {
-        machine.restoreSnapshot(snapshot);
+        machine.restoreFrom(*checkpoint);
         EXPECT_EQ(machine.cpu().totalInstructions(),
                   half.max_instructions);
         core::RunResult replay = machine.cpu().run(core::RunLimits{});
@@ -113,11 +117,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Snapshot, RollbackAndRetryAfterFault)
 {
     // Rollback-and-retry: corrupt the machine, observe the damage,
-    // restore, and the clean run must complete as if nothing happened.
+    // roll back, and the clean run must complete as if nothing
+    // happened.
     workloads::GuestProgram prog = kernelByName("bisort");
     core::Machine machine = makeMachine();
     workloads::loadGuestProgram(machine, prog);
-    core::Machine::Snapshot snapshot = machine.saveSnapshot();
+    std::unique_ptr<core::Machine> checkpoint = machine.fork();
 
     core::RunLimits prefix;
     prefix.max_instructions = 500;
@@ -129,7 +134,7 @@ TEST(Snapshot, RollbackAndRetryAfterFault)
     check::FaultOutcome outcome = check::applyFault(machine, plan);
     ASSERT_TRUE(outcome.applied);
 
-    machine.restoreSnapshot(snapshot);
+    machine.restoreFrom(*checkpoint);
     core::RunResult replay = machine.cpu().run(core::RunLimits{});
     ASSERT_EQ(replay.reason, core::StopReason::kBreak);
     EXPECT_EQ(machine.cpu().gpr(isa::reg::v0), prog.expected_checksum);

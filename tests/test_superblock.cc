@@ -8,15 +8,16 @@
  *    overwrites a later instruction of the very block it executes
  *    from must abort the block before the stale slot dispatches, and
  *    the next entry must fail the guard and re-mint fresh bytes.
- *  - Snapshot restore: restoreSnapshot drops every minted block
- *    (never captures one), and the counter-invisible re-mint replays
- *    the identical tail.
+ *  - Rollback: Machine::restoreFrom drops every minted block (never
+ *    copies one), and the counter-invisible re-mint replays the
+ *    identical tail.
  *  - Geometry invariance: every guest Olden kernel retires identical
  *    counters under a deliberately tiny accelerator geometry that
  *    forces eviction and re-minting. (Invariance across tiers lives
  *    in test_host_tier.)
  */
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -289,9 +290,9 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, SuperblockTimingInvariance,
                          [](const auto &info) { return info.param; });
 
 /**
- * Snapshot restore drops all superblock state: the restored machine
- * re-mints from scratch and replays the identical tail, bit for bit
- * — the PR 4 memo proof extended to the tier.
+ * Rolling back to a checkpoint drops all superblock state: the
+ * rolled-back machine re-mints from scratch and replays the identical
+ * tail, bit for bit.
  */
 TEST(SuperblockSnapshot, RestoreLeavesNoSuperblockState)
 {
@@ -307,7 +308,7 @@ TEST(SuperblockSnapshot, RestoreLeavesNoSuperblockState)
     std::uint64_t clean_instructions =
         baseline.cpu().totalInstructions();
 
-    // Snapshot mid-kernel — mid-superblock-working-set by
+    // Checkpoint mid-kernel — mid-superblock-working-set by
     // construction, since the tier covers essentially every retired
     // instruction of the kernel.
     core::Machine machine = makeMachine();
@@ -317,17 +318,17 @@ TEST(SuperblockSnapshot, RestoreLeavesNoSuperblockState)
     core::RunResult mid = machine.cpu().run(half);
     ASSERT_EQ(mid.reason, core::StopReason::kInstLimit);
     ASSERT_GT(machine.cpu().superblockStats().entered, 0u);
-    core::Machine::Snapshot snapshot = machine.saveSnapshot();
+    std::unique_ptr<core::Machine> checkpoint = machine.fork();
 
-    // Taking the snapshot must not perturb the continuation.
+    // Taking the checkpoint must not perturb the continuation.
     core::RunResult rest = machine.cpu().run(core::RunLimits{});
     ASSERT_EQ(rest.reason, core::StopReason::kBreak);
     EXPECT_EQ(machine.counters().all(), expected.all());
 
-    // Restoring must replay the identical tail, twice, re-minting
+    // Rolling back must replay the identical tail, twice, re-minting
     // every block it needs (counter-invisibly).
     for (int round = 0; round < 2; ++round) {
-        machine.restoreSnapshot(snapshot);
+        machine.restoreFrom(*checkpoint);
         EXPECT_EQ(machine.cpu().totalInstructions(),
                   half.max_instructions);
         std::uint64_t minted_before =
@@ -337,7 +338,8 @@ TEST(SuperblockSnapshot, RestoreLeavesNoSuperblockState)
         EXPECT_EQ(machine.counters().all(), expected.all())
             << "round " << round;
         EXPECT_EQ(machine.cpu().gpr(reg::v0), prog.expected_checksum);
-        // The tail re-minted blocks from scratch: restore left none.
+        // The tail re-minted blocks from scratch: the rollback left
+        // none.
         EXPECT_GT(machine.cpu().superblockStats().minted,
                   minted_before)
             << "round " << round;

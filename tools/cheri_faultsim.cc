@@ -1,8 +1,9 @@
 /**
  * @file
  * cheri-faultsim — the fault-injection campaign driver. Checkpoints
- * each Olden guest kernel once, replays N seeded injections per guest
- * from the checkpoint under the lockstep oracle, and classifies every
+ * each Olden guest kernel once (a loaded machine that never runs),
+ * replays N seeded injections per guest, each on a machine rolled
+ * back to the checkpoint, under the lockstep oracle, and classifies every
  * trial as detected_trap / detected_divergence / detected_abort /
  * timeout / masked / silent_corruption (see check/fault_campaign.h).
  * Trials run behind the guest-failure barrier (support::PanicScope),
@@ -17,9 +18,9 @@
  *     --jobs N       worker threads replaying trials (default:
  *                    hardware concurrency; 1 = serial). The report is
  *                    byte-identical for any N: plans are drawn up
- *                    front, each worker replays from a private
- *                    checkpoint clone, and records merge by trial
- *                    index.
+ *                    front, each worker rolls a private fork back to
+ *                    the checkpoint before every trial, and records
+ *                    merge by trial index.
  *     --guests LIST  comma-separated subset of
  *                    treeadd,bisort,mst,em3d,vm (default all
  *                    Olden kernels; vm is opt-in)
@@ -28,7 +29,7 @@
  *     --json PATH    write the JSON report to PATH ('-' for stdout)
  *     --quiet        suppress the summary table
  *     --selftest     run the campaign twice and verify: byte-identical
- *                    reports, zero snapshot/restore perturbation, and
+ *                    reports, zero rollback perturbation, and
  *                    100% of cache_tag_drop injections detected;
  *                    nonzero exit on any violation
  */
@@ -220,7 +221,7 @@ main(int argc, char **argv)
         if (anyRestorePerturbed(report)) {
             std::fprintf(stderr,
                          "cheri-faultsim: selftest FAILED: "
-                         "snapshot/restore perturbed a clean run\n");
+                         "the rollback perturbed a clean run\n");
             exit_code = 1;
         }
         std::uint64_t missed = undetectedTagDrops(report);
