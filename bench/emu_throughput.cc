@@ -20,13 +20,18 @@
  * it as a cheap perf-regression gate; CHERI_BENCH_MIN_SB_GEOMEAN does
  * the same for the superblock-over-fast-path geomean.
  *
- * --jobs N (or CHERI_BENCH_JOBS) runs the kernel x tier grid of cells
- * concurrently with timing isolation: machine construction and the
- * warm-up repetition overlap freely, but the timed repetitions of all
- * cells serialize behind one global mutex so no two clocks ever run
- * at once — wall-clock numbers stay comparable to a serial run while
- * the untimed setup work uses the spare cores. Cells merge back in
- * grid order, so the table and JSON layout never depend on N.
+ * Each kernel is one cell holding a machine per tier. The cell times
+ * the tiers round-robin, one repetition each per round, and keeps each
+ * tier's best round, so a burst of host load lands on both sides of a
+ * speedup ratio instead of on one tier alone.
+ *
+ * --jobs N (or CHERI_BENCH_JOBS) runs the kernels' cells concurrently
+ * with timing isolation: machine construction and the warm-up
+ * repetitions overlap freely, but the timed rounds of all cells
+ * serialize behind one global mutex so no two clocks ever run at once
+ * — wall-clock numbers stay comparable to a serial run while the
+ * untimed setup work uses the spare cores. Cells merge back in kernel
+ * order, so the table and JSON layout never depend on N.
  */
 
 #include <algorithm>
@@ -37,6 +42,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -67,8 +73,11 @@ struct WorkloadResult
     core::SuperblockStats sb;        ///< from the superblock cell
 };
 
-/** The grid sweeps all three core::HostTier values. */
+/** Every cell times all three core::HostTier values, in this order. */
 constexpr std::size_t kTiers = 3;
+constexpr core::HostTier kTierOrder[kTiers] = {
+    core::HostTier::kSuperblock, core::HostTier::kFast,
+    core::HostTier::kReference};
 
 bool
 quickMode()
@@ -78,61 +87,66 @@ quickMode()
 }
 
 /**
- * Serializes the timed repetitions of concurrently running grid cells
- * so no two wall clocks tick at once (see the file comment).
+ * Serializes the timed rounds of concurrently running cells so no two
+ * wall clocks tick at once (see the file comment).
  */
 std::mutex timing_mutex;
 
-/**
- * Time repeated runs of one kernel. Each repetition resets the CPU to
- * the entry point and re-executes the whole program (rebuilding its
- * heap structures), so the instruction stream is identical each time.
- * The timed block is repeated and the best repetition reported:
- * wall-clock MIPS on a shared host is only ever slowed by interference,
- * so the maximum is the least-noisy estimate of the interpreter's
- * actual throughput.
- */
-double
-measureMips(const workloads::GuestProgram &prog, core::HostTier tier,
-            std::uint64_t target_insts, unsigned reps,
-            core::RunResult &last, core::SuperblockStats &sb)
-{
-    core::MachineConfig config;
-    config.accel.tier = tier;
-    core::Machine machine(config);
-    workloads::loadGuestProgram(machine, prog);
-
-    // Warm-up repetition: page in host memory, fill the simulated
-    // caches, and verify the checksum before the clock starts. Runs
-    // outside the timing lock so cells can warm up concurrently.
-    last = workloads::runGuestProgram(machine, prog);
-
-    std::lock_guard<std::mutex> timing_isolation(timing_mutex);
-    double best = 0.0;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        std::uint64_t executed = 0;
-        auto start = std::chrono::steady_clock::now();
-        while (executed < target_insts) {
-            core::RunResult r = workloads::runGuestProgram(machine, prog);
-            executed += r.instructions;
-        }
-        auto end = std::chrono::steady_clock::now();
-        double seconds =
-            std::chrono::duration<double>(end - start).count();
-        best = std::max(best,
-                        static_cast<double>(executed) / seconds / 1e6);
-    }
-    sb = machine.cpu().superblockStats();
-    return best;
-}
-
-/** One grid cell's output: timing plus the warm-up run's counters. */
+/** One kernel's cell: per tier, its best MIPS and its warm-up run's
+ *  counters, plus the superblock machine's host counters. */
 struct CellResult
 {
-    double mips = 0.0;
-    core::RunResult run;
+    double mips[kTiers] = {};
+    core::RunResult run[kTiers];
     core::SuperblockStats sb;
 };
+
+/**
+ * Time one kernel at every tier. A repetition resets the CPU to the
+ * entry point and re-executes the whole program (rebuilding its heap
+ * structures), so the instruction stream is identical each time. Each
+ * round times one repetition per tier, and each tier reports its best
+ * round: wall-clock MIPS on a shared host is only ever slowed by
+ * interference, so the maximum is the least-noisy estimate of the
+ * interpreter's actual throughput.
+ */
+CellResult
+measureKernel(const workloads::GuestProgram &prog,
+              std::uint64_t target_insts, unsigned rounds)
+{
+    CellResult cell;
+    std::unique_ptr<core::Machine> machines[kTiers];
+    for (std::size_t t = 0; t < kTiers; ++t) {
+        core::MachineConfig config;
+        config.accel.tier = kTierOrder[t];
+        machines[t] = std::make_unique<core::Machine>(config);
+        workloads::loadGuestProgram(*machines[t], prog);
+        // Warm-up repetition: page in host memory, fill the simulated
+        // caches, and verify the checksum before the clock starts.
+        // Runs outside the timing lock so cells can warm up
+        // concurrently.
+        cell.run[t] = workloads::runGuestProgram(*machines[t], prog);
+    }
+
+    std::lock_guard<std::mutex> timing_isolation(timing_mutex);
+    for (unsigned round = 0; round < rounds; ++round) {
+        for (std::size_t t = 0; t < kTiers; ++t) {
+            std::uint64_t executed = 0;
+            auto start = std::chrono::steady_clock::now();
+            while (executed < target_insts)
+                executed += workloads::runGuestProgram(*machines[t], prog)
+                                .instructions;
+            auto end = std::chrono::steady_clock::now();
+            double seconds =
+                std::chrono::duration<double>(end - start).count();
+            cell.mips[t] =
+                std::max(cell.mips[t],
+                         static_cast<double>(executed) / seconds / 1e6);
+        }
+    }
+    cell.sb = machines[0]->cpu().superblockStats();
+    return cell;
+}
 
 std::string
 jsonEscapeless(const std::string &s)
@@ -147,7 +161,7 @@ main(int argc, char **argv)
 {
     bool quick = quickMode();
     std::uint64_t target = quick ? 300'000 : 20'000'000;
-    unsigned reps = quick ? 1 : 3;
+    unsigned rounds = quick ? 9 : 3;
 
     unsigned jobs = 1;
     bool with_vm = false;
@@ -195,23 +209,12 @@ main(int argc, char **argv)
                 "(%s mode, %u job%s)\n\n",
                 quick ? "quick" : "full", jobs, jobs == 1 ? "" : "s");
 
-    // The kernel x tier grid: cell 3k is kernel k at the superblock
-    // tier, 3k+1 at the fast tier, 3k+2 at the reference tier. Cells
-    // run concurrently (timed sections serialized by timing_mutex)
-    // and merge by grid index.
+    // One cell per kernel. Cells run concurrently (timed rounds
+    // serialized by timing_mutex) and merge in kernel order.
     std::vector<CellResult> cells =
         support::parallelMapOrdered<CellResult>(
-            programs.size() * kTiers, jobs,
-            [&](std::size_t index, unsigned) {
-                const auto &prog = programs[index / kTiers];
-                core::HostTier tier =
-                    index % kTiers == 0   ? core::HostTier::kSuperblock
-                    : index % kTiers == 1 ? core::HostTier::kFast
-                                          : core::HostTier::kReference;
-                CellResult cell;
-                cell.mips = measureMips(prog, tier, target, reps,
-                                        cell.run, cell.sb);
-                return cell;
+            programs.size(), jobs, [&](std::size_t index, unsigned) {
+                return measureKernel(programs[index], target, rounds);
             });
 
     std::vector<WorkloadResult> results;
@@ -219,39 +222,36 @@ main(int argc, char **argv)
     double sb_speedup_product = 1.0;
     for (std::size_t k = 0; k < programs.size(); ++k) {
         const auto &prog = programs[k];
-        const CellResult &sb_cell = cells[kTiers * k];
-        const CellResult &fast_cell = cells[kTiers * k + 1];
-        const CellResult &base_cell = cells[kTiers * k + 2];
+        const CellResult &cell = cells[k];
+        const core::RunResult &base_run = cell.run[2];
 
         WorkloadResult res;
         res.name = prog.name;
-        res.mips_superblock = sb_cell.mips;
-        res.mips_fastpath = fast_cell.mips;
-        res.mips_baseline = base_cell.mips;
-        res.guest_instructions = fast_cell.run.instructions;
-        res.guest_cycles = fast_cell.run.cycles;
+        res.mips_superblock = cell.mips[0];
+        res.mips_fastpath = cell.mips[1];
+        res.mips_baseline = cell.mips[2];
+        res.guest_instructions = cell.run[1].instructions;
+        res.guest_cycles = cell.run[1].cycles;
         res.speedup = res.mips_fastpath / res.mips_baseline;
         res.speedup_superblock = res.mips_superblock / res.mips_fastpath;
-        res.sb = sb_cell.sb;
+        res.sb = cell.sb;
         speedup_product *= res.speedup;
         sb_speedup_product *= res.speedup_superblock;
 
         // No tier may change simulated behaviour.
-        for (const CellResult *cell : {&sb_cell, &fast_cell}) {
-            if (cell->run.instructions != base_cell.run.instructions ||
-                cell->run.cycles != base_cell.run.cycles) {
+        for (const core::RunResult *run : {&cell.run[0], &cell.run[1]}) {
+            if (run->instructions != base_run.instructions ||
+                run->cycles != base_run.cycles) {
                 std::fprintf(
                     stderr,
                     "FATAL: %s timing diverges with a fast path "
                     "(insts %llu vs %llu, cycles %llu vs %llu)\n",
                     prog.name.c_str(),
+                    static_cast<unsigned long long>(run->instructions),
                     static_cast<unsigned long long>(
-                        cell->run.instructions),
-                    static_cast<unsigned long long>(
-                        base_cell.run.instructions),
-                    static_cast<unsigned long long>(cell->run.cycles),
-                    static_cast<unsigned long long>(
-                        base_cell.run.cycles));
+                        base_run.instructions),
+                    static_cast<unsigned long long>(run->cycles),
+                    static_cast<unsigned long long>(base_run.cycles));
                 return 1;
             }
         }

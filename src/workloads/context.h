@@ -23,9 +23,7 @@
 #define CHERI_WORKLOADS_CONTEXT_H
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "support/logging.h"
@@ -179,17 +177,28 @@ class Context
         std::uint64_t size = 0;
     };
 
-    struct ArrayInfo
+    /** Host bookkeeping for one allocation granule: the size and kind
+     *  of the allocation that starts there (DESIGN.md §17). */
+    struct GranuleMeta
     {
-        FieldKind element;
-        std::uint64_t stride;
+        std::uint32_t size = 0;
+        /** 0: no allocation starts here; kWordArray or kPtrArray; or
+         *  kFirstType + type id for an object. */
+        std::uint32_t kind = 0;
     };
+    static constexpr std::uint32_t kWordArray = 1;
+    static constexpr std::uint32_t kPtrArray = 2;
+    static constexpr std::uint32_t kFirstType = 3;
 
+    /** The granule entry at obj; all zero unless an allocation starts
+     *  exactly there. */
+    GranuleMeta metaAt(ObjRef obj) const;
+    std::uint64_t elementBytes(FieldKind element) const;
     std::uint64_t fieldAddress(ObjRef obj, unsigned field,
                                FieldKind expected) const;
     std::uint64_t elementAddress(ObjRef array, std::uint64_t index,
                                  FieldKind &kind_out) const;
-    ObjRef allocateRaw(std::uint64_t size);
+    ObjRef allocateRaw(std::uint64_t size, std::uint32_t kind);
 
     /** Raw backing store (word granular). */
     std::uint64_t loadRaw(std::uint64_t vaddr) const;
@@ -197,12 +206,13 @@ class Context
 
     CompileModel model_;
     ModelCosts costs_;
+    /** log2 of the allocation granule, max(8, ptr_align). */
+    unsigned granule_shift_;
     Phase phase_ = Phase::kAlloc;
 
     std::vector<TypeLayout> types_;
-    std::unordered_map<ObjRef, unsigned> obj_types_;
-    std::unordered_map<ObjRef, ArrayInfo> arrays_;
-    std::unordered_map<ObjRef, std::uint64_t> alloc_sizes_;
+    /** One entry per allocation granule of the heap. */
+    std::vector<GranuleMeta> meta_;
     /** Flat word-granular arena backing the bump-allocated heap. */
     std::vector<std::uint64_t> arena_;
 

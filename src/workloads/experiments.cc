@@ -1,7 +1,10 @@
 #include "workloads/experiments.h"
 
+#include <iterator>
+
 #include "models/limit_models.h"
 #include "support/logging.h"
+#include "support/parallel.h"
 #include "trace/profile.h"
 #include "workloads/profile_context.h"
 
@@ -151,19 +154,37 @@ runCapSizeAblation(bool paper_scale)
 std::vector<HeapScalingSeries>
 runHeapScaling(const std::vector<std::uint64_t> &heap_kb)
 {
-    std::vector<HeapScalingSeries> results;
+    const std::vector<std::unique_ptr<Workload>> workloads =
+        fpgaBenchmarks();
+    const CompileModel models[] = {CompileModel::kMips,
+                                   CompileModel::kCheri};
+    constexpr std::size_t kModels = std::size(models);
     core::MachineConfig config; // default machine: 16K/64K caches
 
-    for (const auto &workload : fpgaBenchmarks()) {
+    // One cell per (benchmark, heap, model), each on its own
+    // TimingContext; the workloads are shared read-only.
+    std::vector<FpgaComparisonEntry::PerModel> cells =
+        support::parallelMapOrdered<FpgaComparisonEntry::PerModel>(
+            workloads.size() * heap_kb.size() * kModels,
+            support::defaultJobs(), [&](std::size_t index, unsigned) {
+                std::size_t point = index / kModels;
+                const Workload &workload =
+                    *workloads[point / heap_kb.size()];
+                WorkloadParams params = workload.paramsForHeapBytes(
+                    heap_kb[point % heap_kb.size()] * 1024);
+                return runTimed(workload, params, models[index % kModels],
+                                config);
+            });
+
+    std::vector<HeapScalingSeries> results;
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
         HeapScalingSeries series;
-        series.benchmark = workload->name();
-        for (std::uint64_t kb : heap_kb) {
-            WorkloadParams params =
-                workload->paramsForHeapBytes(kb * 1024);
-            FpgaComparisonEntry::PerModel mips = runTimed(
-                *workload, params, CompileModel::kMips, config);
-            FpgaComparisonEntry::PerModel cheri = runTimed(
-                *workload, params, CompileModel::kCheri, config);
+        series.benchmark = workloads[w]->name();
+        for (std::size_t h = 0; h < heap_kb.size(); ++h) {
+            const FpgaComparisonEntry::PerModel &mips =
+                cells[(w * heap_kb.size() + h) * kModels];
+            const FpgaComparisonEntry::PerModel &cheri =
+                cells[(w * heap_kb.size() + h) * kModels + 1];
             if (mips.checksum != cheri.checksum)
                 support::panic("%s: checksum divergence in heap sweep",
                                series.benchmark.c_str());
@@ -174,7 +195,7 @@ runHeapScaling(const std::vector<std::uint64_t> &heap_kb)
             double slowdown =
                 mips_cycles > 0.0 ? cheri_cycles / mips_cycles - 1.0
                                   : 0.0;
-            series.points.emplace_back(kb, slowdown);
+            series.points.emplace_back(heap_kb[h], slowdown);
         }
         results.push_back(std::move(series));
     }

@@ -25,7 +25,7 @@ TimingContext::total() const
 void
 TimingContext::onAlloc(std::uint64_t vaddr, std::uint64_t size)
 {
-    machine_->mapRange(vaddr, size == 0 ? 1 : size);
+    machine_->mapRange(vaddr, size);
 }
 
 void

@@ -12,6 +12,7 @@
 #include <numeric>
 #include <vector>
 
+#include "support/bits.h"
 #include "support/rng.h"
 #include "trace/profile.h"
 #include "workloads/experiments.h"
@@ -117,6 +118,117 @@ TEST(Context, FieldKindMismatchPanics)
     EXPECT_DEATH(ctx.loadWord(obj, 1), "kind mismatch");
     EXPECT_DEATH(ctx.loadWord(obj, 5), "out of range");
 }
+
+TEST(Context, ZeroByteAllocationPanics)
+{
+    // A zero-byte block would share its base with the next allocation.
+    NullContext ctx;
+    EXPECT_DEATH(ctx.allocArray(FieldKind::kWord, 0), "zero-byte");
+    unsigned empty = ctx.defineType({});
+    EXPECT_DEATH(ctx.alloc(empty), "zero-byte");
+}
+
+/** Records the pointee size the context reports with every pointer
+ *  load and store. */
+class SizeProbe : public NullContext
+{
+  public:
+    using NullContext::NullContext;
+
+    /** Store value through a pointer field of holder and load it
+     *  back; both moves must report the same allocation size. */
+    std::uint64_t observedSize(ObjRef holder, unsigned ptr_field,
+                               ObjRef value)
+    {
+        storePtr(holder, ptr_field, value);
+        EXPECT_EQ(loadPtr(holder, ptr_field), value);
+        EXPECT_EQ(load_size_, store_size_);
+        return load_size_;
+    }
+
+  protected:
+    void onLoad(std::uint64_t, std::uint64_t, bool is_ptr,
+                std::uint64_t target_size) override
+    {
+        if (is_ptr)
+            load_size_ = target_size;
+    }
+    void onStore(std::uint64_t, std::uint64_t, bool is_ptr,
+                 std::uint64_t target_size, std::uint64_t) override
+    {
+        if (is_ptr)
+            store_size_ = target_size;
+    }
+
+  private:
+    std::uint64_t load_size_ = ~0ULL;
+    std::uint64_t store_size_ = ~0ULL;
+};
+
+/** The object metadata under each model's allocation granule:
+ *  8 bytes for MIPS and CCured, 16 for 128-bit CHERI, 32 for CHERI. */
+class ContextMetadata : public ::testing::TestWithParam<CompileModel>
+{
+  protected:
+    SizeProbe ctx{GetParam()};
+    std::uint64_t granule =
+        std::max<std::uint64_t>(8, ctx.costs().ptr_align);
+    /** {word, ptr, word, ptr}: spans several granules in every model. */
+    unsigned type = ctx.defineType({FieldKind::kWord, FieldKind::kPtr,
+                                    FieldKind::kWord, FieldKind::kPtr});
+};
+
+TEST_P(ContextMetadata, FieldAccessNeedsAnObjectBase)
+{
+    ObjRef obj = ctx.alloc(type);
+    ASSERT_GT(ctx.heapBytes(), granule); // so obj + granule is interior
+    ObjRef array = ctx.allocArray(FieldKind::kWord, 4);
+    EXPECT_DEATH(ctx.loadWord(array, 0), "non-object");
+    EXPECT_DEATH(ctx.loadWord(obj + granule, 0), "non-object");
+    EXPECT_DEATH(ctx.loadWord(obj + granule / 2, 0), "non-object");
+    EXPECT_DEATH(ctx.loadWord(kNull, 0), "non-object");
+}
+
+TEST_P(ContextMetadata, ElementAccessNeedsAnArrayBase)
+{
+    ObjRef obj = ctx.alloc(type);
+    EXPECT_DEATH(ctx.loadWordAt(obj, 0), "non-array");
+    EXPECT_DEATH(ctx.storePtrAt(obj, 0, kNull), "non-array");
+}
+
+TEST_P(ContextMetadata, AllocationSizeOnlyAtAllocationBases)
+{
+    ObjRef holder = ctx.alloc(type);
+    ObjRef obj = ctx.alloc(type);
+    std::uint64_t obj_size = ctx.heapBytes() / 2;
+    ObjRef ptrs = ctx.allocArray(FieldKind::kPtr, 3);
+    ObjRef words = ctx.allocArray(FieldKind::kWord, 5);
+    std::uint64_t end = support::roundUp(words + 40, granule);
+
+    EXPECT_EQ(ctx.observedSize(holder, 1, obj), obj_size);
+    EXPECT_EQ(ctx.observedSize(holder, 1, ptrs),
+              3 * ctx.costs().ptr_bytes);
+    EXPECT_EQ(ctx.observedSize(holder, 1, words), 40u);
+    EXPECT_EQ(ctx.observedSize(holder, 1, kNull), 0u);
+    EXPECT_EQ(ctx.observedSize(holder, 1, obj + granule), 0u);
+    EXPECT_EQ(ctx.observedSize(holder, 1, obj + granule / 2), 0u);
+    EXPECT_EQ(ctx.observedSize(holder, 1, end), 0u);
+    EXPECT_EQ(ctx.observedSize(holder, 1, end + (1ULL << 30)), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, ContextMetadata,
+    ::testing::Values(CompileModel::kMips, CompileModel::kCcured,
+                      CompileModel::kCheri, CompileModel::kCheri128),
+    [](const ::testing::TestParamInfo<CompileModel> &info) {
+        switch (info.param) {
+          case CompileModel::kMips: return "mips";
+          case CompileModel::kCcured: return "ccured";
+          case CompileModel::kCheri: return "cheri";
+          case CompileModel::kCheri128: return "cheri128";
+        }
+        return "unknown";
+    });
 
 TEST(Workloads, SuiteContents)
 {
@@ -475,6 +587,35 @@ TEST(Experiments, CapSizeAblationOrdering)
             << entry.benchmark;
         EXPECT_LT(entry.cheri128_cycles, entry.cheri256_cycles)
             << entry.benchmark;
+    }
+}
+
+TEST(Experiments, HeapScalingMatchesSerialCells)
+{
+    // The parallel grid merges in cell order: every point equals the
+    // slowdown of its two cells run one after the other.
+    const std::vector<std::uint64_t> heap_kb = {4, 16};
+    auto series = runHeapScaling(heap_kb);
+    auto workloads = fpgaBenchmarks();
+    ASSERT_EQ(series.size(), workloads.size());
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        EXPECT_EQ(series[w].benchmark, workloads[w]->name());
+        ASSERT_EQ(series[w].points.size(), heap_kb.size());
+        for (std::size_t h = 0; h < heap_kb.size(); ++h) {
+            WorkloadParams params =
+                workloads[w]->paramsForHeapBytes(heap_kb[h] * 1024);
+            TimingContext mips(CompileModel::kMips);
+            TimingContext cheri(CompileModel::kCheri);
+            workloads[w]->run(mips, params);
+            workloads[w]->run(cheri, params);
+            double slowdown =
+                static_cast<double>(cheri.total().cycles) /
+                    static_cast<double>(mips.total().cycles) -
+                1.0;
+            EXPECT_EQ(series[w].points[h].first, heap_kb[h]);
+            EXPECT_EQ(series[w].points[h].second, slowdown)
+                << workloads[w]->name() << " @" << heap_kb[h];
+        }
     }
 }
 
