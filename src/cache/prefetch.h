@@ -28,7 +28,7 @@
 #include <memory>
 #include <vector>
 
-#include "mem/tag_manager.h"
+#include "mem/cow_store.h"
 
 namespace cheri::cache
 {

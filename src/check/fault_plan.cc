@@ -63,7 +63,7 @@ tryCacheTagDrop(core::Machine &machine, std::uint64_t pick,
     machine.memory().l1d().clearTagIfResident(paddr);
     machine.memory().l1i().clearTagIfResident(paddr);
     machine.memory().l2().clearTagIfResident(paddr);
-    machine.tagTable().set(paddr, false);
+    machine.cowStore().setTag(paddr, false);
     target = "tag dropped on line " + hex(paddr);
     return true;
 }
@@ -116,8 +116,8 @@ tryTagTableFlip(core::Machine &machine, std::uint64_t pick,
     if (lines == 0)
         return false;
     std::uint64_t paddr = (pick % lines) * mem::kLineBytes;
-    bool old_tag = machine.tagTable().get(paddr);
-    machine.tagTable().set(paddr, !old_tag);
+    bool old_tag = machine.cowStore().tag(paddr);
+    machine.cowStore().setTag(paddr, !old_tag);
     target = std::string("tag table bit for line ") + hex(paddr) +
              (old_tag ? " dropped" : " forged");
     return true;
@@ -132,9 +132,8 @@ tryDramBitFlip(core::Machine &machine, std::uint64_t pick,
         return false;
     std::uint64_t paddr = pick % bytes;
     unsigned bit = (pick / bytes) % 8;
-    std::uint8_t value = static_cast<std::uint8_t>(
-        machine.dram().read(paddr, 1));
-    machine.dram().writeByte(paddr, value ^ (1u << bit));
+    std::uint8_t value = machine.cowStore().readByte(paddr);
+    machine.cowStore().writeByte(paddr, value ^ (1u << bit));
     target = "dram bit " + std::to_string(bit) + " at byte " +
              hex(paddr) + " flipped";
     return true;

@@ -50,26 +50,21 @@ pageEnd(std::uint64_t page, std::uint64_t dram_bytes)
 
 Lockstep::Lockstep(core::Machine &machine, LockstepConfig config)
     : machine_(machine), config_(config),
-      ref_memory_(machine.dram().size()),
+      ref_memory_(machine.cowStore().sizeBytes()),
       ref_(ref_memory_, machine.pageTable())
 {
     // Make DRAM and the tag table current, then snapshot them. A
     // page still on the shared zero page reads as zero, exactly as an
     // absent RefMemory page does, so only the other pages are copied.
     machine_.memory().flushAll();
-    mem::PhysicalMemory &dram = machine_.dram();
-    mem::TagTable &tags = machine_.tagTable();
     const mem::CowStore &store = machine_.cowStore();
     for (std::uint64_t page = 0; page < store.pageCount(); ++page) {
         if (store.isZeroPage(page))
             continue;
         for (std::uint64_t paddr = page * mem::kCowPageBytes;
-             paddr < pageEnd(page, dram.size());
-             paddr += mem::kLineBytes) {
-            ref_memory_.writeCapLine(
-                paddr, mem::TaggedLine{dram.readLine(paddr),
-                                       tags.get(paddr)});
-        }
+             paddr < pageEnd(page, store.sizeBytes());
+             paddr += mem::kLineBytes)
+            ref_memory_.writeCapLine(paddr, store.readLine(paddr));
     }
 
     // Snapshot the architectural register state.
@@ -195,8 +190,6 @@ bool
 Lockstep::finalSweep(std::string &out)
 {
     machine_.memory().flushAll();
-    mem::PhysicalMemory &dram = machine_.dram();
-    mem::TagTable &tags = machine_.tagTable();
     const mem::CowStore &store = machine_.cowStore();
     // The skip below rests on the zero page reading as zero.
     static const mem::CowPage kZeroPage{};
@@ -212,15 +205,14 @@ Lockstep::finalSweep(std::string &out)
         if (store.isZeroPage(page) && !ref_memory_.pageAllocated(page))
             continue;
         for (std::uint64_t paddr = page * mem::kCowPageBytes;
-             paddr < pageEnd(page, dram.size());
+             paddr < pageEnd(page, store.sizeBytes());
              paddr += mem::kLineBytes) {
-            mem::Line fast = dram.readLine(paddr);
-            bool fast_tag = tags.get(paddr);
+            mem::TaggedLine fast = store.readLine(paddr);
             mem::TaggedLine ref = ref_memory_.readCapLine(paddr);
-            if (fast != ref.data || fast_tag != ref.tag) {
+            if (fast.data != ref.data || fast.tag != ref.tag) {
                 out = "final sweep: memory line " + hex(paddr) +
-                      ": fast=" + lineHex(fast) +
-                      (fast_tag ? " tag=1" : " tag=0") +
+                      ": fast=" + lineHex(fast.data) +
+                      (fast.tag ? " tag=1" : " tag=0") +
                       " ref=" + lineHex(ref.data) +
                       (ref.tag ? " tag=1" : " tag=0");
                 return false;

@@ -32,7 +32,6 @@
 #include "core/exceptions.h"
 #include "isa/isa.h"
 #include "mem/cow_store.h"
-#include "mem/tag_manager.h"
 #include "tlb/tlb.h"
 
 namespace cheri::check

@@ -13,8 +13,8 @@ Machine::Machine(MachineConfig config)
 
 Machine::Machine(const MachineConfig &config,
                  std::shared_ptr<mem::CowStore> store)
-    : config_(config), store_(std::move(store)), dram_(store_),
-      tags_(store_), tag_manager_(dram_, tags_, config.tag_cache),
+    : config_(config), store_(std::move(store)),
+      tag_manager_(*store_, config.tag_cache),
       hierarchy_(tag_manager_, config.caches), page_table_(),
       tlb_(page_table_, config.tlb),
       cpu_(hierarchy_, tlb_, config.timing, config.accel)
@@ -137,7 +137,7 @@ Machine::loadProgram(std::uint64_t vaddr,
         auto pte = page_table_.lookup(va / tlb::kPageBytes);
         std::uint64_t paddr =
             pte->pfn * tlb::kPageBytes + va % tlb::kPageBytes;
-        dram_.write(paddr, 4, words[i]);
+        store_->write(paddr, 4, words[i]);
     }
     // The words went into DRAM below the hierarchy's (and the decode
     // cache's) view; any predecoded lines for recycled frames are now

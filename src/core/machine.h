@@ -1,9 +1,9 @@
 /**
  * @file
- * Machine facade: wires DRAM, the tag table and tag manager, the
- * cache hierarchy, the page table and TLB, and the CPU into one
- * CHERI system, and provides the loader conveniences the OS layer,
- * examples and tests build on.
+ * Machine facade: wires tagged DRAM (one COW store) and the tag
+ * manager, the cache hierarchy, the page table and TLB, and the CPU
+ * into one CHERI system, and provides the loader conveniences the OS
+ * layer, examples and tests build on.
  */
 
 #ifndef CHERI_CORE_MACHINE_H
@@ -17,9 +17,7 @@
 #include "cache/hierarchy.h"
 #include "core/cpu.h"
 #include "mem/cow_store.h"
-#include "mem/physical_memory.h"
 #include "mem/tag_manager.h"
-#include "mem/tag_table.h"
 #include "support/stats.h"
 #include "tlb/page_table.h"
 #include "tlb/tlb.h"
@@ -47,8 +45,13 @@ class Machine
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;
 
-    mem::PhysicalMemory &dram() { return dram_; }
-    mem::TagTable &tagTable() { return tags_; }
+    /**
+     * Tagged physical memory: DRAM bytes and tags, below the caches
+     * (flush first to see guest stores), plus COW metrics and
+     * zero-page slots.
+     */
+    mem::CowStore &cowStore() { return *store_; }
+    const mem::CowStore &cowStore() const { return *store_; }
     mem::TagManager &tagManager() { return tag_manager_; }
     cache::CacheHierarchy &memory() { return hierarchy_; }
     tlb::PageTable &pageTable() { return page_table_; }
@@ -159,9 +162,6 @@ class Machine
      */
     void restoreFrom(const Machine &checkpoint);
 
-    /** This machine's backing store: COW metrics and zero-page slots. */
-    const mem::CowStore &cowStore() const { return *store_; }
-
   private:
     Machine(const MachineConfig &config,
             std::shared_ptr<mem::CowStore> store);
@@ -172,8 +172,6 @@ class Machine
 
     MachineConfig config_;
     std::shared_ptr<mem::CowStore> store_;
-    mem::PhysicalMemory dram_;
-    mem::TagTable tags_;
     mem::TagManager tag_manager_;
     cache::CacheHierarchy hierarchy_;
     tlb::PageTable page_table_;

@@ -8,14 +8,54 @@
 namespace cheri::mem
 {
 
-CowStore::CowStore(std::uint64_t size_bytes)
-    : size_bytes_(size_bytes), line_count_(size_bytes / kLineBytes)
+namespace
+{
+
+/** The tag bit of paddr's line, in the page holding that line. */
+bool
+tagBit(const CowPage &p, std::uint64_t paddr)
+{
+    std::uint64_t line = paddr % kCowPageBytes / kLineBytes;
+    return (p.tags[line / 64] >> (line % 64)) & 1;
+}
+
+void
+setTagBit(CowPage &p, std::uint64_t paddr, bool tag)
+{
+    std::uint64_t line = paddr % kCowPageBytes / kLineBytes;
+    std::uint64_t mask = 1ULL << (line % 64);
+    if (tag)
+        p.tags[line / 64] |= mask;
+    else
+        p.tags[line / 64] &= ~mask;
+}
+
+/** read/write move a value through an 8-byte buffer. */
+void
+checkValueSize(unsigned size_bytes)
+{
+    if (size_bytes != 1 && size_bytes != 2 && size_bytes != 4 &&
+        size_bytes != 8)
+        support::panic("physical value access of %u bytes (1, 2, 4 or "
+                       "8 expected)",
+                       size_bytes);
+}
+
+} // namespace
+
+CowStore::CowStore(std::uint64_t size_bytes) : size_bytes_(size_bytes)
 {
     if (size_bytes == 0 || size_bytes % kLineBytes != 0) {
         support::fatal("DRAM size %llu must be a nonzero multiple of "
                        "%llu bytes",
                        static_cast<unsigned long long>(size_bytes),
                        static_cast<unsigned long long>(kLineBytes));
+    }
+    if (size_bytes > kMaxDramBytes) {
+        support::fatal("DRAM size %llu exceeds the %llu-byte (16 GiB) "
+                       "limit",
+                       static_cast<unsigned long long>(size_bytes),
+                       static_cast<unsigned long long>(kMaxDramBytes));
     }
     std::uint64_t pages = (size_bytes + kCowPageBytes - 1) / kCowPageBytes;
     // Every fresh slot shares one zero page, so a new store (and the
@@ -25,8 +65,8 @@ CowStore::CowStore(std::uint64_t size_bytes)
 }
 
 CowStore::CowStore(const CowStore &parent, ForkTag)
-    : size_bytes_(parent.size_bytes_), line_count_(parent.line_count_),
-      zero_(parent.zero_), pages_(parent.pages_)
+    : size_bytes_(parent.size_bytes_), zero_(parent.zero_),
+      pages_(parent.pages_)
 {
 }
 
@@ -61,6 +101,15 @@ CowStore::checkRange(std::uint64_t paddr, std::uint64_t len) const
     }
 }
 
+void
+CowStore::checkLine(std::uint64_t paddr, const char *what) const
+{
+    if (paddr % kLineBytes != 0)
+        support::guestFault("mem", "unaligned line %s at 0x%llx", what,
+                            static_cast<unsigned long long>(paddr));
+    checkRange(paddr, kLineBytes);
+}
+
 CowPage &
 CowStore::pageForWrite(std::uint64_t page_index)
 {
@@ -77,6 +126,55 @@ CowStore::pageForWrite(std::uint64_t page_index)
     return *slot;
 }
 
+TaggedLine
+CowStore::readLine(std::uint64_t paddr) const
+{
+    checkLine(paddr, "read");
+    const CowPage &p = page(paddr / kCowPageBytes);
+    TaggedLine line;
+    std::memcpy(line.data.data(), p.data.data() + paddr % kCowPageBytes,
+                kLineBytes);
+    line.tag = tagBit(p, paddr);
+    return line;
+}
+
+void
+CowStore::writeLine(std::uint64_t paddr, const TaggedLine &line)
+{
+    checkLine(paddr, "write");
+    CowPage &p = pageForWrite(paddr / kCowPageBytes);
+    std::memcpy(p.data.data() + paddr % kCowPageBytes, line.data.data(),
+                kLineBytes);
+    setTagBit(p, paddr, line.tag);
+}
+
+bool
+CowStore::tag(std::uint64_t paddr) const
+{
+    checkRange(paddr, 1);
+    return tagBit(page(paddr / kCowPageBytes), paddr);
+}
+
+void
+CowStore::setTag(std::uint64_t paddr, bool tag)
+{
+    checkRange(paddr, 1);
+    setTagBit(pageForWrite(paddr / kCowPageBytes), paddr, tag);
+}
+
+std::uint64_t
+CowStore::tagPopCount() const
+{
+    // Tag bits past the last line are never set (setTag checks), so
+    // a trailing partial page counts only its own lines.
+    std::uint64_t n = 0;
+    for (const std::shared_ptr<CowPage> &p : pages_) {
+        for (std::uint64_t word : p->tags)
+            n += static_cast<std::uint64_t>(std::popcount(word));
+    }
+    return n;
+}
+
 std::uint8_t
 CowStore::readByte(std::uint64_t paddr) const
 {
@@ -90,6 +188,29 @@ CowStore::writeByte(std::uint64_t paddr, std::uint8_t value)
     checkRange(paddr, 1);
     pageForWrite(paddr / kCowPageBytes).data[paddr % kCowPageBytes] =
         value;
+}
+
+std::uint64_t
+CowStore::read(std::uint64_t paddr, unsigned size_bytes) const
+{
+    checkValueSize(size_bytes);
+    std::uint8_t bytes[8];
+    readBytes(paddr, bytes, size_bytes);
+    std::uint64_t value = 0;
+    for (unsigned i = 0; i < size_bytes; ++i)
+        value |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
+    return value;
+}
+
+void
+CowStore::write(std::uint64_t paddr, unsigned size_bytes,
+                std::uint64_t value)
+{
+    checkValueSize(size_bytes);
+    std::uint8_t bytes[8];
+    for (unsigned i = 0; i < size_bytes; ++i)
+        bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    writeBytes(paddr, bytes, size_bytes);
 }
 
 void
@@ -123,50 +244,6 @@ CowStore::writeBytes(std::uint64_t paddr, const std::uint8_t *src,
         paddr += chunk;
         len -= chunk;
     }
-}
-
-bool
-CowStore::tagGet(std::uint64_t line_index) const
-{
-    if (line_index >= line_count_) {
-        support::guestFault(
-            "mem", "tag read beyond DRAM: line %llu of %llu",
-            static_cast<unsigned long long>(line_index),
-            static_cast<unsigned long long>(line_count_));
-    }
-    std::uint64_t word = line_index / 64;
-    const CowPage &p = page(word / kCowPageTagWords);
-    return (p.tags[word % kCowPageTagWords] >> (line_index % 64)) & 1;
-}
-
-void
-CowStore::tagSet(std::uint64_t line_index, bool tag)
-{
-    if (line_index >= line_count_) {
-        support::guestFault(
-            "mem", "tag write beyond DRAM: line %llu of %llu",
-            static_cast<unsigned long long>(line_index),
-            static_cast<unsigned long long>(line_count_));
-    }
-    std::uint64_t word = line_index / 64;
-    CowPage &p = pageForWrite(word / kCowPageTagWords);
-    std::uint64_t mask = 1ULL << (line_index % 64);
-    if (tag)
-        p.tags[word % kCowPageTagWords] |= mask;
-    else
-        p.tags[word % kCowPageTagWords] &= ~mask;
-}
-
-std::uint64_t
-CowStore::tagPopCount() const
-{
-    std::uint64_t n = 0;
-    std::uint64_t words = tagWordCount();
-    for (std::uint64_t w = 0; w < words; ++w) {
-        n += static_cast<std::uint64_t>(std::popcount(
-            page(w / kCowPageTagWords).tags[w % kCowPageTagWords]));
-    }
-    return n;
 }
 
 std::uint64_t

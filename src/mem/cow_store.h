@@ -1,11 +1,13 @@
 /**
  * @file
- * Page-granular copy-on-write backing store for DRAM and the
- * capability tag table. A CowPage is the unit of sharing: 4 KB of
- * data plus the slice of the tag table covering those lines, so a
- * single write fault materialises both planes together and a forked
- * guest can never observe a parent's data with a child's tags (or
- * vice versa).
+ * The machine's tagged physical memory: DRAM of 256-bit lines, each
+ * with a capability tag bit (Section 4.2), kept in a page-granular
+ * copy-on-write store. A CowPage is the unit of sharing: 4 KB of data
+ * plus the slice of the tag table covering those lines, so a single
+ * write fault materialises both planes together, a forked guest can
+ * never observe a parent's data with a child's tags (or vice versa),
+ * and the 257-bit line the tag manager moves is read or written with
+ * one page access.
  *
  * Sharing is plain shared_ptr refcounting per page — there is no
  * base-image chain to walk. fork() copies the page-reference vector
@@ -17,6 +19,10 @@
  * always shared, is never written in place, and stays all-zero for
  * every store forked from this one: a slot still pointing at it
  * (isZeroPage) is known to read as zero without looking at its bytes.
+ *
+ * Every access is host-checked once: an address beyond DRAM or an
+ * unaligned line is a support::guestFault (only corrupted guest state
+ * can produce one; the guest-facing layers bound-check first).
  *
  * Thread-safety: pages reachable from more than one store are never
  * written in place (the use_count()==1 test), so concurrent guests
@@ -51,6 +57,22 @@ constexpr std::uint64_t kCowPageLines = kCowPageBytes / kLineBytes;
  */
 constexpr std::uint64_t kCowPageTagWords = kCowPageLines / 64;
 
+/**
+ * Largest DRAM a store accepts (16 GiB, a 64 MB page-slot vector). A
+ * larger request is a configuration error, reported like a zero size.
+ */
+constexpr std::uint64_t kMaxDramBytes = 16ULL << 30;
+
+/** One 256-bit line of raw data. */
+using Line = std::array<std::uint8_t, kLineBytes>;
+
+/** A 256-bit line plus its capability tag: the 257-bit interface. */
+struct TaggedLine
+{
+    Line data{};
+    bool tag = false;
+};
+
 /** One shareable page: data bytes plus the covering tag bits. */
 struct CowPage
 {
@@ -58,15 +80,14 @@ struct CowPage
     std::array<std::uint64_t, kCowPageTagWords> tags{};
 };
 
-/**
- * The refcounted page store PhysicalMemory and TagTable are facades
- * over. Addresses and line indices are host-checked by the facades;
- * the store panics on its own bounds as a second line of defence.
- */
+/** Tagged physical memory over refcounted COW pages. */
 class CowStore
 {
   public:
-    /** Zero-filled store; size must be a nonzero multiple of a line. */
+    /**
+     * Zero-filled, all-untagged store. The size must be a nonzero
+     * multiple of a line and at most kMaxDramBytes, or fatal().
+     */
     explicit CowStore(std::uint64_t size_bytes);
 
     CowStore(const CowStore &) = delete;
@@ -75,11 +96,9 @@ class CowStore
     /** DRAM bytes covered. */
     std::uint64_t sizeBytes() const { return size_bytes_; }
     /** Tagged lines covered. */
-    std::uint64_t lineCount() const { return line_count_; }
+    std::uint64_t lineCount() const { return size_bytes_ / kLineBytes; }
     /** COW pages (including a trailing partial page). */
     std::uint64_t pageCount() const { return pages_.size(); }
-    /** 64-bit words in the flattened tag bitmap. */
-    std::uint64_t tagWordCount() const { return (line_count_ + 63) / 64; }
 
     /**
      * Mint a child store sharing every page of this one. O(page
@@ -105,23 +124,36 @@ class CowStore
     /** The shared zero page (all-zero unless something bypassed COW). */
     const CowPage &zeroPage() const { return *zero_; }
 
+    /** Read one aligned 257-bit line: data and tag from one page. */
+    TaggedLine readLine(std::uint64_t paddr) const;
+    /** Write one aligned 257-bit line (at most one COW fault). */
+    void writeLine(std::uint64_t paddr, const TaggedLine &line);
+
+    /** Tag bit for the line containing paddr. */
+    bool tag(std::uint64_t paddr) const;
+    /** Set or clear the tag bit for the line containing paddr (may
+     *  COW-fault the covering page). */
+    void setTag(std::uint64_t paddr, bool tag);
+    /** Count of set tags across the store. */
+    std::uint64_t tagPopCount() const;
+
     /** Read one byte. */
     std::uint8_t readByte(std::uint64_t paddr) const;
     /** Write one byte (may COW-fault its page). */
     void writeByte(std::uint64_t paddr, std::uint8_t value);
-    /** Read len bytes (may straddle pages). */
-    void readBytes(std::uint64_t paddr, std::uint8_t *dst,
-                   std::uint64_t len) const;
+    /**
+     * Read a little-endian value of 1, 2, 4 or 8 bytes (any other
+     * size panics). The access may straddle lines and pages; DRAM
+     * itself imposes no alignment.
+     */
+    std::uint64_t read(std::uint64_t paddr, unsigned size_bytes) const;
+    /** Write a little-endian value of 1, 2, 4 or 8 bytes; tags are
+     *  left alone (clearing them is the cache hierarchy's job). */
+    void write(std::uint64_t paddr, unsigned size_bytes,
+               std::uint64_t value);
     /** Write len bytes (may straddle pages and fault several). */
     void writeBytes(std::uint64_t paddr, const std::uint8_t *src,
                     std::uint64_t len);
-
-    /** Tag bit for an in-range line index. */
-    bool tagGet(std::uint64_t line_index) const;
-    /** Set/clear a tag bit (may COW-fault the covering page). */
-    void tagSet(std::uint64_t line_index, bool tag);
-    /** Count of set tags across the store. */
-    std::uint64_t tagPopCount() const;
 
     /**
      * Pages this store has had to clone on write since construction
@@ -146,9 +178,11 @@ class CowStore
         return *pages_[page_index];
     }
     void checkRange(std::uint64_t paddr, std::uint64_t len) const;
+    void checkLine(std::uint64_t paddr, const char *what) const;
+    void readBytes(std::uint64_t paddr, std::uint8_t *dst,
+                   std::uint64_t len) const;
 
     std::uint64_t size_bytes_;
-    std::uint64_t line_count_;
     /** Held here too, so a slot pointing at it is never unique. */
     std::shared_ptr<CowPage> zero_;
     std::vector<std::shared_ptr<CowPage>> pages_;

@@ -3,10 +3,9 @@
 namespace cheri::mem
 {
 
-TagManager::TagManager(PhysicalMemory &dram, TagTable &tags,
-                       TagCacheConfig config)
-    : dram_(dram), tags_(tags), config_(config),
-      max_entries_(config.capacity_bytes / config.entry_bytes)
+TagManager::TagManager(CowStore &store, TagCacheConfig config)
+    : store_(store),
+      max_entries_(config.capacity_bytes / kTagCacheEntryBytes)
 {
     dram_reads_ = &stats_.counter("dram.reads");
     dram_writes_ = &stats_.counter("dram.writes");
@@ -21,8 +20,10 @@ void
 TagManager::touchTagCache(std::uint64_t paddr, bool dirtying)
 {
     ++*tag_lookups_;
+    // The DRAM-resident table holds one bit per line, so the byte
+    // holding paddr's tag is line / 8; an entry caches one table line.
     std::uint64_t table_line =
-        tags_.tableByteFor(paddr) / config_.entry_bytes;
+        paddr / kLineBytes / 8 / kTagCacheEntryBytes;
 
     auto it = cached_.find(table_line);
     if (it != cached_.end()) {
@@ -52,10 +53,7 @@ TagManager::readLine(std::uint64_t paddr)
 {
     ++*dram_reads_;
     touchTagCache(paddr, /*dirtying=*/false);
-    TaggedLine line;
-    line.data = dram_.readLine(paddr);
-    line.tag = tags_.get(paddr);
-    return line;
+    return store_.readLine(paddr);
 }
 
 void
@@ -63,15 +61,7 @@ TagManager::writeLine(std::uint64_t paddr, const TaggedLine &line)
 {
     ++*dram_writes_;
     touchTagCache(paddr, /*dirtying=*/true);
-    dram_.writeLine(paddr, line.data);
-    tags_.set(paddr, line.tag);
-}
-
-bool
-TagManager::readTag(std::uint64_t paddr)
-{
-    touchTagCache(paddr, /*dirtying=*/false);
-    return tags_.get(paddr);
+    store_.writeLine(paddr, line);
 }
 
 void

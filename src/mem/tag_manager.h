@@ -15,28 +15,21 @@
 #include <list>
 #include <unordered_map>
 
-#include "mem/physical_memory.h"
-#include "mem/tag_table.h"
+#include "mem/cow_store.h"
 #include "support/stats.h"
 
 namespace cheri::mem
 {
-
-/** A 256-bit line plus its capability tag: the 257-bit interface. */
-struct TaggedLine
-{
-    Line data{};
-    bool tag = false;
-};
 
 /** Configuration for the tag cache below the LLC. */
 struct TagCacheConfig
 {
     /** Total tag-cache capacity in bytes of tag-table data (8 KB). */
     std::uint64_t capacity_bytes = 8 * 1024;
-    /** Tag-table bytes cached per entry (one 32-byte table line). */
-    std::uint64_t entry_bytes = 32;
 };
+
+/** Tag-table bytes cached per tag-cache entry (one table line). */
+constexpr std::uint64_t kTagCacheEntryBytes = 32;
 
 /**
  * Tagged DRAM endpoint. All reads and writes from the cache hierarchy
@@ -53,20 +46,13 @@ struct TagCacheConfig
 class TagManager
 {
   public:
-    TagManager(PhysicalMemory &dram, TagTable &tags,
-               TagCacheConfig config = {});
+    explicit TagManager(CowStore &store, TagCacheConfig config = {});
 
     /** Read a 257-bit line (data + tag). */
     TaggedLine readLine(std::uint64_t paddr);
 
     /** Write a 257-bit line (data + tag). */
     void writeLine(std::uint64_t paddr, const TaggedLine &line);
-
-    /**
-     * Read the tag without the data (used when a narrow store needs
-     * the invalidate-on-write semantics checked by tests).
-     */
-    bool readTag(std::uint64_t paddr);
 
     /** Accumulated statistics. */
     const support::StatSet &stats() const { return stats_; }
@@ -85,9 +71,7 @@ class TagManager
     /** Touch the tag cache for the table line covering paddr. */
     void touchTagCache(std::uint64_t paddr, bool dirtying);
 
-    PhysicalMemory &dram_;
-    TagTable &tags_;
-    TagCacheConfig config_;
+    CowStore &store_;
 
     /** LRU over cached tag-table line indices. */
     std::list<std::uint64_t> lru_;

@@ -48,23 +48,22 @@ CapabilityRevoker::revoke(std::uint64_t base, std::uint64_t length)
 
     // 2. Tagged physical memory, via the tag table: only tagged
     //    lines are ever read.
-    mem::PhysicalMemory &dram = machine_.dram();
-    mem::TagTable &tags = machine_.tagTable();
-    std::uint64_t total_lines = dram.size() / mem::kLineBytes;
+    mem::CowStore &store = machine_.cowStore();
+    std::uint64_t total_lines = store.lineCount();
     stats.cycles += total_lines / kTagScanLinesPerCycle;
 
     for (std::uint64_t line = 0; line < total_lines; ++line) {
         std::uint64_t paddr = line * mem::kLineBytes;
-        if (!tags.get(paddr))
+        if (!store.tag(paddr))
             continue;
         ++stats.lines_scanned;
         stats.cycles += kLineVisitCycles;
 
         cap::Capability capability =
-            cap::Capability::fromRaw(dram.readLine(paddr), true);
+            cap::Capability::fromRaw(store.readLine(paddr).data, true);
         ++stats.caps_found;
         if (intersects(capability, base, length)) {
-            tags.set(paddr, false);
+            store.setTag(paddr, false);
             ++stats.caps_revoked;
             stats.cycles += kLineVisitCycles; // write-back of the tag
         }
@@ -77,9 +76,8 @@ CapabilityRevoker::countReferences(std::uint64_t base,
                                    std::uint64_t length)
 {
     machine_.memory().flushAll();
-    mem::PhysicalMemory &dram = machine_.dram();
-    mem::TagTable &tags = machine_.tagTable();
-    std::uint64_t total_lines = dram.size() / mem::kLineBytes;
+    const mem::CowStore &store = machine_.cowStore();
+    std::uint64_t total_lines = store.lineCount();
     std::uint64_t count = 0;
 
     core::Cpu &cpu = machine_.cpu();
@@ -89,10 +87,10 @@ CapabilityRevoker::countReferences(std::uint64_t base,
     }
     for (std::uint64_t line = 0; line < total_lines; ++line) {
         std::uint64_t paddr = line * mem::kLineBytes;
-        if (!tags.get(paddr))
+        if (!store.tag(paddr))
             continue;
         cap::Capability capability =
-            cap::Capability::fromRaw(dram.readLine(paddr), true);
+            cap::Capability::fromRaw(store.readLine(paddr).data, true);
         if (intersects(capability, base, length))
             ++count;
     }

@@ -105,7 +105,7 @@ SimpleOs::exec(const std::vector<std::uint32_t> &text,
 
     for (std::size_t i = 0; i < text.size(); ++i) {
         std::uint64_t paddr = translate(*proc, kTextBase + i * 4);
-        machine_.dram().write(paddr, 4, text[i]);
+        machine_.cowStore().write(paddr, 4, text[i]);
     }
 
     proc->pc = entry;

@@ -2,7 +2,7 @@
 
 #include "cap/capability.h"
 #include "cap/perms.h"
-#include "mem/physical_memory.h"
+#include "mem/cow_store.h"
 #include "support/bits.h"
 
 namespace cheri::workloads

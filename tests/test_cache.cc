@@ -20,9 +20,8 @@ namespace
 
 struct TestMemory
 {
-    mem::PhysicalMemory dram{1024 * 1024};
-    mem::TagTable tags{1024 * 1024};
-    mem::TagManager manager{dram, tags};
+    mem::CowStore store{1024 * 1024};
+    mem::TagManager manager{store};
 };
 
 TEST(Cache, MissThenHit)
@@ -54,7 +53,7 @@ TEST(Cache, WriteBackOnEviction)
 
     cache.readLine(64); // evicts dirty line 0
     EXPECT_EQ(cache.stats().get("l1.writebacks"), 1u);
-    EXPECT_EQ(memory.dram.readByte(0), 0xaa);
+    EXPECT_EQ(memory.store.readByte(0), 0xaa);
 }
 
 TEST(Cache, FlushWritesDirtyLines)
@@ -67,11 +66,11 @@ TEST(Cache, FlushWritesDirtyLines)
     line.data[3] = 0x55;
     line.tag = true;
     cache.writeLine(96, line);
-    EXPECT_EQ(memory.dram.readByte(99), 0); // still only in cache
+    EXPECT_EQ(memory.store.readByte(99), 0); // still only in cache
 
     cache.flush();
-    EXPECT_EQ(memory.dram.readByte(99), 0x55);
-    EXPECT_TRUE(memory.tags.get(96));
+    EXPECT_EQ(memory.store.readByte(99), 0x55);
+    EXPECT_TRUE(memory.store.tag(96));
 }
 
 TEST(Cache, LruReplacement)
@@ -108,7 +107,7 @@ TEST(Cache, TagPreservedThroughLevels)
     // Push through both levels.
     l1.flush();
     l2.flush();
-    EXPECT_TRUE(memory.tags.get(256));
+    EXPECT_TRUE(memory.store.tag(256));
 
     LineAccess readback = l1.readLine(256);
     EXPECT_TRUE(readback.line->tag);
@@ -174,16 +173,16 @@ TEST(Hierarchy, TagReachesDramAfterFlush)
     mem::TaggedLine line;
     line.tag = true;
     hierarchy.writeCapLine(512, line, cycles);
-    EXPECT_FALSE(memory.tags.get(512)); // still cached
+    EXPECT_FALSE(memory.store.tag(512)); // still cached
 
     hierarchy.flushAll();
-    EXPECT_TRUE(memory.tags.get(512));
+    EXPECT_TRUE(memory.store.tag(512));
 }
 
 TEST(Hierarchy, FetchReadsThroughL1I)
 {
     TestMemory memory;
-    memory.dram.write(0x400, 4, 0xdeadbeef);
+    memory.store.write(0x400, 4, 0xdeadbeef);
     CacheHierarchy hierarchy(memory.manager);
     std::uint64_t cycles = 0;
     EXPECT_EQ(hierarchy.fetch32(0x400, cycles), 0xdeadbeefu);
@@ -249,7 +248,7 @@ TEST(Hierarchy, RandomizedDataConsistency)
     // After a full flush DRAM must agree with the reference model.
     hierarchy.flushAll();
     for (const auto &[addr, value] : reference)
-        EXPECT_EQ(memory.dram.readByte(addr), value);
+        EXPECT_EQ(memory.store.readByte(addr), value);
 }
 
 } // namespace

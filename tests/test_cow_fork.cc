@@ -58,13 +58,6 @@ smallConfig()
     return config;
 }
 
-/** One DRAM line of a machine, with its tag. */
-mem::TaggedLine
-taggedLine(core::Machine &machine, std::uint64_t paddr)
-{
-    return {machine.dram().readLine(paddr), machine.tagTable().get(paddr)};
-}
-
 /**
  * Compare all of a machine's DRAM, line by line and tags included,
  * with expect(paddr). Returns the first mismatching line as a
@@ -74,9 +67,9 @@ template <typename Expect>
 std::string
 dramMismatch(core::Machine &machine, Expect &&expect)
 {
-    for (std::uint64_t paddr = 0; paddr < machine.dram().size();
+    for (std::uint64_t paddr = 0; paddr < machine.cowStore().sizeBytes();
          paddr += mem::kLineBytes) {
-        mem::TaggedLine got = taggedLine(machine, paddr);
+        mem::TaggedLine got = machine.cowStore().readLine(paddr);
         mem::TaggedLine want = expect(paddr);
         if (got.data != want.data || got.tag != want.tag)
             return "DRAM line " + std::to_string(paddr) + " differs";
@@ -105,15 +98,36 @@ TEST(CowStore, FirstWriteFaultsOncePerPage)
     store.writeByte(mem::kCowPageBytes - 1, 0xbb);
     EXPECT_EQ(store.cowFaults(), 1u);
     // A tag write for a line of the same page: still private.
-    store.tagSet(1, true);
+    store.setTag(1 * mem::kLineBytes, true);
     EXPECT_EQ(store.cowFaults(), 1u);
-    EXPECT_TRUE(store.tagGet(1));
+    EXPECT_TRUE(store.tag(1 * mem::kLineBytes));
     // A different page faults separately.
     store.writeByte(3 * mem::kCowPageBytes + 7, 0xcc);
     EXPECT_EQ(store.cowFaults(), 2u);
     EXPECT_EQ(store.sharedPages(), 14u);
     EXPECT_EQ(store.readByte(5), 0xaa);
     EXPECT_EQ(store.readByte(mem::kCowPageBytes - 1), 0xbb);
+
+    // Reading a line or a tag of a page on the zero page faults
+    // nothing.
+    EXPECT_FALSE(store.readLine(5 * mem::kCowPageBytes).tag);
+    EXPECT_FALSE(store.tag(5 * mem::kCowPageBytes + mem::kLineBytes));
+    EXPECT_TRUE(store.isZeroPage(5));
+    EXPECT_EQ(store.cowFaults(), 2u);
+    // A line write to a fresh page faults once and lands data and tag
+    // together; a tag write to that page afterwards faults nothing.
+    const std::uint64_t line = 6 * mem::kCowPageBytes + 3 * mem::kLineBytes;
+    mem::TaggedLine tagged;
+    tagged.data.fill(0x5c);
+    tagged.tag = true;
+    store.writeLine(line, tagged);
+    EXPECT_EQ(store.cowFaults(), 3u);
+    mem::TaggedLine back = store.readLine(line);
+    EXPECT_EQ(back.data, tagged.data);
+    EXPECT_TRUE(back.tag);
+    store.setTag(line + mem::kLineBytes, true);
+    EXPECT_EQ(store.cowFaults(), 3u);
+    EXPECT_EQ(store.sharedPages(), 13u);
 }
 
 TEST(CowStore, TagWordsNeverStraddlePages)
@@ -123,9 +137,9 @@ TEST(CowStore, TagWordsNeverStraddlePages)
     // and the first line of page 1 must fault the two pages
     // independently.
     mem::CowStore store(4 * mem::kCowPageBytes);
-    store.tagSet(mem::kCowPageLines - 1, true);
+    store.setTag(mem::kCowPageBytes - mem::kLineBytes, true);
     EXPECT_EQ(store.cowFaults(), 1u);
-    store.tagSet(mem::kCowPageLines, true);
+    store.setTag(mem::kCowPageBytes, true);
     EXPECT_EQ(store.cowFaults(), 2u);
     EXPECT_EQ(store.tagPopCount(), 2u);
 }
@@ -134,11 +148,11 @@ TEST(CowStore, ForkIsolatesWritesBothWays)
 {
     mem::CowStore parent(8 * mem::kCowPageBytes);
     parent.writeByte(100, 1);
-    parent.tagSet(0, true);
+    parent.setTag(0, true);
     std::shared_ptr<mem::CowStore> child = parent.fork();
     EXPECT_EQ(child->cowFaults(), 0u);
     EXPECT_EQ(child->readByte(100), 1u);
-    EXPECT_TRUE(child->tagGet(0));
+    EXPECT_TRUE(child->tag(0));
 
     child->writeByte(100, 2);
     EXPECT_EQ(child->cowFaults(), 1u);
@@ -149,8 +163,8 @@ TEST(CowStore, ForkIsolatesWritesBothWays)
     parent.writeByte(101, 3);
     EXPECT_EQ(parent.readByte(100), 1u);
     EXPECT_EQ(child->readByte(101), 0u);
-    child->tagSet(0, false);
-    EXPECT_TRUE(parent.tagGet(0));
+    child->setTag(0, false);
+    EXPECT_TRUE(parent.tag(0));
 }
 
 TEST(CowStore, ZeroPageIsNeverWrittenInPlace)
@@ -162,7 +176,7 @@ TEST(CowStore, ZeroPageIsNeverWrittenInPlace)
         for (std::uint64_t p = 0; p < pages; ++p) {
             ASSERT_TRUE(store.isZeroPage(p));
             store.writeByte(p * mem::kCowPageBytes + 9, 0x5a);
-            store.tagSet(p * mem::kCowPageLines, true);
+            store.setTag(p * mem::kCowPageBytes, true);
             EXPECT_FALSE(store.isZeroPage(p));
         }
         EXPECT_EQ(store.cowFaults(), pages);
@@ -177,21 +191,21 @@ TEST(MachineFork, ForkAndRestoreKeepUntouchedSlotsOnTheZeroPage)
 {
     core::Machine parent(smallConfig());
     const std::uint64_t written = 3, untouched = 5, later = 7;
-    parent.dram().writeByte(written * mem::kCowPageBytes, 1);
+    parent.cowStore().writeByte(written * mem::kCowPageBytes, 1);
     std::unique_ptr<core::Machine> checkpoint = parent.fork();
     EXPECT_TRUE(checkpoint->cowStore().isZeroPage(untouched));
     EXPECT_FALSE(checkpoint->cowStore().isZeroPage(written));
 
-    parent.dram().writeByte(later * mem::kCowPageBytes, 2);
-    parent.tagTable().set(untouched * mem::kCowPageBytes, true);
+    parent.cowStore().writeByte(later * mem::kCowPageBytes, 2);
+    parent.cowStore().setTag(untouched * mem::kCowPageBytes, true);
     EXPECT_FALSE(parent.cowStore().isZeroPage(later));
     parent.restoreFrom(*checkpoint);
     EXPECT_TRUE(parent.cowStore().isZeroPage(untouched));
     EXPECT_TRUE(parent.cowStore().isZeroPage(later));
     EXPECT_FALSE(parent.cowStore().isZeroPage(written));
-    EXPECT_EQ(parent.dram().readByte(later * mem::kCowPageBytes), 0u);
-    EXPECT_EQ(parent.dram().readByte(written * mem::kCowPageBytes), 1u);
-    EXPECT_FALSE(parent.tagTable().get(untouched * mem::kCowPageBytes));
+    EXPECT_EQ(parent.cowStore().readByte(later * mem::kCowPageBytes), 0u);
+    EXPECT_EQ(parent.cowStore().readByte(written * mem::kCowPageBytes), 1u);
+    EXPECT_FALSE(parent.cowStore().tag(untouched * mem::kCowPageBytes));
 
     // A fresh machine rolled back to another machine's checkpoint
     // adopts that machine's zero page too.
@@ -211,28 +225,28 @@ TEST(MachineFork, RestoreFromIsIsolatedFromItsCheckpoint)
 {
     core::Machine checkpoint(smallConfig());
     const std::uint64_t page = 4 * mem::kCowPageBytes;
-    checkpoint.dram().writeByte(page, 0x11);
-    checkpoint.tagTable().set(page, true);
+    checkpoint.cowStore().writeByte(page, 0x11);
+    checkpoint.cowStore().setTag(page, true);
     core::Machine machine(smallConfig());
     machine.restoreFrom(checkpoint);
-    ASSERT_EQ(machine.dram().readByte(page), 0x11u);
-    ASSERT_TRUE(machine.tagTable().get(page));
+    ASSERT_EQ(machine.cowStore().readByte(page), 0x11u);
+    ASSERT_TRUE(machine.cowStore().tag(page));
 
     // Each side writes a byte and a tag of the shared page: one the
     // other side has, one it does not.
-    machine.dram().writeByte(page, 0x22);
-    machine.tagTable().set(page, false);
-    checkpoint.dram().writeByte(page + 1, 0x33);
-    checkpoint.tagTable().set(page + mem::kLineBytes, true);
+    machine.cowStore().writeByte(page, 0x22);
+    machine.cowStore().setTag(page, false);
+    checkpoint.cowStore().writeByte(page + 1, 0x33);
+    checkpoint.cowStore().setTag(page + mem::kLineBytes, true);
 
-    EXPECT_EQ(checkpoint.dram().readByte(page), 0x11u);
-    EXPECT_TRUE(checkpoint.tagTable().get(page));
-    EXPECT_EQ(machine.dram().readByte(page + 1), 0u);
-    EXPECT_FALSE(machine.tagTable().get(page + mem::kLineBytes));
-    EXPECT_EQ(machine.dram().readByte(page), 0x22u);
-    EXPECT_FALSE(machine.tagTable().get(page));
-    EXPECT_EQ(checkpoint.dram().readByte(page + 1), 0x33u);
-    EXPECT_TRUE(checkpoint.tagTable().get(page + mem::kLineBytes));
+    EXPECT_EQ(checkpoint.cowStore().readByte(page), 0x11u);
+    EXPECT_TRUE(checkpoint.cowStore().tag(page));
+    EXPECT_EQ(machine.cowStore().readByte(page + 1), 0u);
+    EXPECT_FALSE(machine.cowStore().tag(page + mem::kLineBytes));
+    EXPECT_EQ(machine.cowStore().readByte(page), 0x22u);
+    EXPECT_FALSE(machine.cowStore().tag(page));
+    EXPECT_EQ(checkpoint.cowStore().readByte(page + 1), 0x33u);
+    EXPECT_TRUE(checkpoint.cowStore().tag(page + mem::kLineBytes));
 }
 
 // --- Machine::fork basics --------------------------------------------
@@ -240,13 +254,13 @@ TEST(MachineFork, RestoreFromIsIsolatedFromItsCheckpoint)
 TEST(MachineFork, ChildStartsWithZeroCowFaults)
 {
     core::Machine parent(smallConfig());
-    parent.dram().writeByte(0x1000, 0x42);
+    parent.cowStore().writeByte(0x1000, 0x42);
     std::unique_ptr<core::Machine> child = parent.fork();
     EXPECT_EQ(child->cowStore().cowFaults(), 0u);
-    EXPECT_EQ(child->dram().readByte(0x1000), 0x42u);
-    child->dram().writeByte(0x1000, 0x43);
+    EXPECT_EQ(child->cowStore().readByte(0x1000), 0x42u);
+    child->cowStore().writeByte(0x1000, 0x43);
     EXPECT_EQ(child->cowStore().cowFaults(), 1u);
-    EXPECT_EQ(parent.dram().readByte(0x1000), 0x42u);
+    EXPECT_EQ(parent.cowStore().readByte(0x1000), 0x42u);
 }
 
 TEST(MachineFork, SnapshotRoundTripsOnAFork)
@@ -271,20 +285,20 @@ TEST(MachineFork, ForkChainSeesAncestorWritesNotDescendants)
     std::vector<std::unique_ptr<core::Machine>> chain;
     core::Machine *parent = &root;
     for (std::uint64_t depth = 0; depth < 8; ++depth) {
-        parent->dram().writeByte(depth * mem::kCowPageBytes,
+        parent->cowStore().writeByte(depth * mem::kCowPageBytes,
                                  static_cast<std::uint8_t>(depth + 1));
         chain.push_back(parent->fork());
         parent = chain.back().get();
     }
     // The deepest fork sees every ancestor write...
     for (std::uint64_t depth = 0; depth < 8; ++depth)
-        EXPECT_EQ(parent->dram().readByte(depth * mem::kCowPageBytes),
+        EXPECT_EQ(parent->cowStore().readByte(depth * mem::kCowPageBytes),
                   depth + 1);
     // ...and a write at the bottom never propagates up the chain.
-    parent->dram().writeByte(0, 0xff);
-    EXPECT_EQ(root.dram().readByte(0), 1u);
+    parent->cowStore().writeByte(0, 0xff);
+    EXPECT_EQ(root.cowStore().readByte(0), 1u);
     for (std::size_t i = 0; i + 1 < chain.size(); ++i)
-        EXPECT_EQ(chain[i]->dram().readByte(0), 1u);
+        EXPECT_EQ(chain[i]->cowStore().readByte(0), 1u);
 }
 
 // --- one copy path: fork and restoreFrom are invisible --------------
@@ -341,7 +355,7 @@ TEST_P(MachineCopy, ForkAndRestoreFromAreInvisible)
     EXPECT_EQ(replay->cpu().gpr(isa::reg::v0), prog.expected_checksum);
     EXPECT_EQ(dramMismatch(*replay,
                            [&](std::uint64_t paddr) {
-                               return taggedLine(parent, paddr);
+                               return parent.cowStore().readLine(paddr);
                            }),
               "");
 
@@ -359,7 +373,7 @@ TEST_P(MachineCopy, ForkAndRestoreFromAreInvisible)
         EXPECT_EQ(replay->cpu().gpr(isa::reg::v0), prog.expected_checksum);
         EXPECT_EQ(dramMismatch(*replay,
                                [&](std::uint64_t paddr) {
-                                   return taggedLine(parent, paddr);
+                                   return parent.cowStore().readLine(paddr);
                                }),
                   "");
         if (superblocks) {
@@ -428,7 +442,7 @@ TEST_P(ForkVsClone, ForkedRunMatchesDeepCloneBitForBit)
     EXPECT_EQ(fork->counters().all(), clone.counters().all());
     EXPECT_EQ(dramMismatch(*fork,
                            [&](std::uint64_t paddr) {
-                               return taggedLine(clone, paddr);
+                               return clone.cowStore().readLine(paddr);
                            }),
               "");
 }
@@ -487,11 +501,11 @@ TEST(MachineFork, SiblingWritesAreInvisibleToEachOther)
     for (int i = 0; i < 512; ++i) {
         std::uint64_t addr = seed_rng.next() % kDram;
         auto value = static_cast<std::uint8_t>(seed_rng.next());
-        parent.dram().writeByte(addr, value);
+        parent.cowStore().writeByte(addr, value);
         base_bytes[addr] = value;
         std::uint64_t line = (seed_rng.next() % kDram) &
                              ~(mem::kLineBytes - 1);
-        parent.tagTable().set(line, true);
+        parent.cowStore().setTag(line, true);
         base_tags[line / mem::kLineBytes] = true;
     }
     // Expected line 'paddr' of a machine holding these bytes and tags.
@@ -519,12 +533,12 @@ TEST(MachineFork, SiblingWritesAreInvisibleToEachOther)
         int s = round % kSiblings;
         std::uint64_t addr = rng.next() % kDram;
         auto value = static_cast<std::uint8_t>(rng.next());
-        siblings[s]->dram().writeByte(addr, value);
+        siblings[s]->cowStore().writeByte(addr, value);
         byte_model[s][addr] = value;
         std::uint64_t line = (rng.next() % kDram) &
                              ~(mem::kLineBytes - 1);
         bool tag = (rng.next() & 1) != 0;
-        siblings[s]->tagTable().set(line, tag);
+        siblings[s]->cowStore().setTag(line, tag);
         tag_model[s][line] = tag;
     }
 

@@ -172,12 +172,11 @@ TEST_P(SweepSkipRule, FlipAfterCleanRunIsNamed)
     std::string detail;
     ASSERT_TRUE(lockstep.finalStateMatches(detail)) << detail;
 
-    if (flip_tag) {
-        machine.tagTable().set(paddr, !machine.tagTable().get(paddr));
-    } else {
-        machine.dram().writeByte(paddr,
-                                 machine.dram().readByte(paddr) ^ 0x10);
-    }
+    mem::CowStore &store = machine.cowStore();
+    if (flip_tag)
+        store.setTag(paddr, !store.tag(paddr));
+    else
+        store.writeByte(paddr, store.readByte(paddr) ^ 0x10);
     EXPECT_FALSE(lockstep.finalStateMatches(detail));
     EXPECT_NE(detail.find(lineName(paddr)), std::string::npos) << detail;
 }
@@ -198,8 +197,8 @@ TEST(LockstepSweep, TrailingPartialPageSetsUpAndSweepsClean)
     config.dram_bytes = 1024 * 1024 + 5 * mem::kLineBytes;
     core::Machine machine(config);
     std::uint64_t last_line = config.dram_bytes - mem::kLineBytes;
-    machine.dram().writeByte(last_line + 3, 0x77);
-    machine.tagTable().set(last_line, true);
+    machine.cowStore().writeByte(last_line + 3, 0x77);
+    machine.cowStore().setTag(last_line, true);
     loadStoreProgram(machine);
 
     check::Lockstep lockstep(machine);
@@ -207,7 +206,7 @@ TEST(LockstepSweep, TrailingPartialPageSetsUpAndSweepsClean)
     EXPECT_FALSE(run.diverged) << run.divergence;
     EXPECT_TRUE(run.hit_break);
 
-    machine.tagTable().set(last_line, false);
+    machine.cowStore().setTag(last_line, false);
     std::string detail;
     EXPECT_FALSE(lockstep.finalStateMatches(detail));
     EXPECT_NE(detail.find(lineName(last_line)), std::string::npos)

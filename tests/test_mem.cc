@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the memory substrate: flat DRAM, the tag table, and
+ * Unit tests for the memory substrate: tagged physical memory
+ * (CowStore, under the PhysicalMemory and TagTable suite names) and
  * the tag manager's 257-bit interface and tag-cache accounting.
  */
 
@@ -8,9 +9,8 @@
 
 #include <map>
 
-#include "mem/physical_memory.h"
+#include "mem/cow_store.h"
 #include "mem/tag_manager.h"
-#include "mem/tag_table.h"
 #include "support/rng.h"
 
 namespace cheri::mem
@@ -20,14 +20,14 @@ namespace
 
 TEST(PhysicalMemory, ZeroInitialized)
 {
-    PhysicalMemory dram(4096);
+    CowStore dram(4096);
     for (std::uint64_t addr = 0; addr < 4096; addr += 512)
         EXPECT_EQ(dram.readByte(addr), 0);
 }
 
 TEST(PhysicalMemory, ByteRoundTrip)
 {
-    PhysicalMemory dram(4096);
+    CowStore dram(4096);
     dram.writeByte(100, 0xab);
     EXPECT_EQ(dram.readByte(100), 0xab);
     EXPECT_EQ(dram.readByte(99), 0);
@@ -36,7 +36,7 @@ TEST(PhysicalMemory, ByteRoundTrip)
 
 TEST(PhysicalMemory, LittleEndianValues)
 {
-    PhysicalMemory dram(4096);
+    CowStore dram(4096);
     dram.write(64, 8, 0x0123456789abcdefULL);
     EXPECT_EQ(dram.readByte(64), 0xef);
     EXPECT_EQ(dram.readByte(71), 0x01);
@@ -49,76 +49,97 @@ TEST(PhysicalMemory, LittleEndianValues)
 
 TEST(PhysicalMemory, LineRoundTrip)
 {
-    PhysicalMemory dram(4096);
-    Line line{};
+    CowStore dram(4096);
+    TaggedLine line;
     for (unsigned i = 0; i < kLineBytes; ++i)
-        line[i] = static_cast<std::uint8_t>(i * 3);
+        line.data[i] = static_cast<std::uint8_t>(i * 3);
+    line.tag = true;
     dram.writeLine(128, line);
-    EXPECT_EQ(dram.readLine(128), line);
-    // Bytes visible through the scalar interface too.
+    TaggedLine readback = dram.readLine(128);
+    EXPECT_EQ(readback.data, line.data);
+    EXPECT_TRUE(readback.tag);
+    // Bytes visible through the scalar interface too, which leaves
+    // the tag alone (clearing it is the cache hierarchy's job).
     EXPECT_EQ(dram.readByte(128 + 5), 15);
+    dram.writeByte(128 + 5, 0);
+    EXPECT_TRUE(dram.tag(128));
+    // The neighbouring lines keep their own (clear) tags.
+    EXPECT_FALSE(dram.readLine(96).tag);
+    EXPECT_FALSE(dram.readLine(160).tag);
+    line.tag = false;
+    dram.writeLine(128, line);
+    EXPECT_FALSE(dram.tag(128));
 }
 
 TEST(PhysicalMemory, BlockWrite)
 {
-    PhysicalMemory dram(4096);
+    CowStore dram(4096);
     std::uint8_t data[10] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-    dram.writeBlock(200, data, 10);
+    dram.writeBytes(200, data, 10);
     EXPECT_EQ(dram.readByte(200), 1);
     EXPECT_EQ(dram.readByte(209), 10);
 }
 
 TEST(PhysicalMemory, OutOfRangePanics)
 {
-    PhysicalMemory dram(4096);
+    CowStore dram(4096);
     EXPECT_DEATH(dram.readByte(4096), "beyond DRAM");
     EXPECT_DEATH(dram.write(4090, 8, 0), "beyond DRAM");
+    EXPECT_DEATH(dram.readLine(4096), "beyond DRAM");
+    EXPECT_DEATH(dram.writeLine(4096, TaggedLine{}), "beyond DRAM");
+    EXPECT_DEATH(dram.tag(4096), "beyond DRAM");
+    EXPECT_DEATH(dram.setTag(4096, true), "beyond DRAM");
+    EXPECT_DEATH(dram.readLine(16), "unaligned");
+    EXPECT_DEATH(dram.writeLine(48, TaggedLine{}), "unaligned");
+    // A value is 1, 2, 4 or 8 bytes; anything else would overrun the
+    // 8-byte staging buffer.
+    EXPECT_DEATH(dram.read(0, 16), "1, 2, 4 or 8");
+    EXPECT_DEATH(dram.write(0, 3, 0), "1, 2, 4 or 8");
 }
 
 TEST(TagTable, StartsClear)
 {
-    TagTable tags(4096);
-    EXPECT_EQ(tags.popCount(), 0u);
+    CowStore tags(4096);
+    EXPECT_EQ(tags.tagPopCount(), 0u);
     for (std::uint64_t addr = 0; addr < 4096; addr += 32)
-        EXPECT_FALSE(tags.get(addr));
+        EXPECT_FALSE(tags.tag(addr));
 }
 
 TEST(TagTable, SetClearPerLine)
 {
-    TagTable tags(4096);
-    tags.set(64, true);
-    EXPECT_TRUE(tags.get(64));
+    CowStore tags(4096);
+    tags.setTag(64, true);
+    EXPECT_TRUE(tags.tag(64));
     // Same line, any byte address within it.
-    EXPECT_TRUE(tags.get(65));
-    EXPECT_TRUE(tags.get(95));
+    EXPECT_TRUE(tags.tag(65));
+    EXPECT_TRUE(tags.tag(95));
     // Adjacent lines unaffected.
-    EXPECT_FALSE(tags.get(63));
-    EXPECT_FALSE(tags.get(96));
-    tags.set(64, false);
-    EXPECT_FALSE(tags.get(64));
+    EXPECT_FALSE(tags.tag(63));
+    EXPECT_FALSE(tags.tag(96));
+    tags.setTag(64, false);
+    EXPECT_FALSE(tags.tag(64));
 }
 
 TEST(TagTable, PopCount)
 {
-    TagTable tags(64 * 1024);
+    CowStore tags(64 * 1024);
     for (std::uint64_t addr = 0; addr < 64 * 1024; addr += 1024)
-        tags.set(addr, true);
-    EXPECT_EQ(tags.popCount(), 64u);
+        tags.setTag(addr, true);
+    EXPECT_EQ(tags.tagPopCount(), 64u);
 }
 
 TEST(TagTable, CoverageRatioMatchesPaper)
 {
     // One tag bit per 256-bit line: 4 MB of tag space per GB of
     // memory (Section 4.2): 1 GB / 32 B = 2^25 bits = 4 MB.
-    TagTable tags(1ULL << 30);
+    CowStore tags(1ULL << 30);
     EXPECT_EQ(tags.lineCount() / 8, 4ULL * 1024 * 1024);
 }
 
 TEST(TagManager, TagTravelsWithLine)
 {
-    PhysicalMemory dram(64 * 1024);
-    TagTable tags(64 * 1024);
-    TagManager manager(dram, tags);
+    CowStore store(64 * 1024);
+    TagManager manager(store);
 
     TaggedLine line;
     line.data[0] = 0x42;
@@ -137,9 +158,8 @@ TEST(TagManager, TagTravelsWithLine)
 
 TEST(TagManager, TagCacheHitsOnLocality)
 {
-    PhysicalMemory dram(1024 * 1024);
-    TagTable tags(1024 * 1024);
-    TagManager manager(dram, tags);
+    CowStore store(1024 * 1024);
+    TagManager manager(store);
 
     // Repeated access to the same line: 1 compulsory tag-table read.
     for (int i = 0; i < 100; ++i)
@@ -150,10 +170,9 @@ TEST(TagManager, TagCacheHitsOnLocality)
 
 TEST(TagManager, TagCacheEvictsBeyondCapacity)
 {
-    PhysicalMemory dram(256ULL * 1024 * 1024);
-    TagTable tags(256ULL * 1024 * 1024);
+    CowStore store(256ULL * 1024 * 1024);
     // Tiny tag cache: 2 entries of 32 tag-table bytes each.
-    TagManager manager(dram, tags, TagCacheConfig{64, 32});
+    TagManager manager(store, TagCacheConfig{64});
 
     // Each 32-byte tag-table entry covers 32*8 lines * 32 bytes = 8 KB
     // of data; touch three distinct 8 KB regions round-robin.
@@ -170,9 +189,8 @@ TEST(TagManager, TagCacheEvictsBeyondCapacity)
 
 TEST(TagManager, StatsCountTransactions)
 {
-    PhysicalMemory dram(64 * 1024);
-    TagTable tags(64 * 1024);
-    TagManager manager(dram, tags);
+    CowStore store(64 * 1024);
+    TagManager manager(store);
     manager.readLine(0);
     manager.writeLine(32, TaggedLine{});
     manager.readLine(64);
@@ -182,9 +200,8 @@ TEST(TagManager, StatsCountTransactions)
 
 TEST(TagManager, RandomizedConsistencyWithReference)
 {
-    PhysicalMemory dram(1024 * 1024);
-    TagTable tags(1024 * 1024);
-    TagManager manager(dram, tags, TagCacheConfig{128, 32});
+    CowStore store(1024 * 1024);
+    TagManager manager(store, TagCacheConfig{128});
     support::Xoshiro256 rng(99);
 
     // Reference model: plain map of line -> (byte0, tag).

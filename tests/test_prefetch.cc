@@ -43,9 +43,8 @@ namespace
 
 struct TestMemory
 {
-    mem::PhysicalMemory dram{1024 * 1024};
-    mem::TagTable tags{1024 * 1024};
-    mem::TagManager manager{dram, tags};
+    mem::CowStore store{1024 * 1024};
+    mem::TagManager manager{store};
 };
 
 // --- cache-level mechanics ---
@@ -120,7 +119,7 @@ TEST(PrefetchCache, FlushCountsUntouchedPrefetchInaccurate)
 TEST(PrefetchCache, PrefetchPreservesCapabilityTag)
 {
     TestMemory memory;
-    memory.tags.set(128, true);
+    memory.store.setTag(128, true);
     cache::DramSource dram(memory.manager);
     cache::Cache cache(cache::CacheConfig{"l1", 1024, 2, 1}, dram);
     cache.armPrefetch();
@@ -249,7 +248,7 @@ TEST(PrefetchHierarchy, DefaultOffMintsNoCounters)
 TEST(PrefetchHierarchy, StoreStillClearsTagOnPrefetchedLine)
 {
     TestMemory memory;
-    memory.tags.set(0x3000, true);
+    memory.store.setTag(0x3000, true);
     cache::HierarchyConfig config;
     config.prefetch.policy = cache::PrefetchPolicy::kNextLine;
     config.prefetch.degree = 1;

@@ -143,9 +143,8 @@ class TagCoherenceSweep
 TEST_P(TagCoherenceSweep, HierarchyMatchesFlatReference)
 {
     GeometryParam geometry = GetParam();
-    mem::PhysicalMemory dram(1 << 20);
-    mem::TagTable tags(1 << 20);
-    mem::TagManager manager(dram, tags);
+    mem::CowStore store(1 << 20);
+    mem::TagManager manager(store);
     cache::HierarchyConfig config;
     config.l1d = {"l1d", geometry.l1_bytes, geometry.l1_ways, 1};
     config.l2 = {"l2", geometry.l2_bytes, geometry.l2_ways, 4};
@@ -202,8 +201,9 @@ TEST_P(TagCoherenceSweep, HierarchyMatchesFlatReference)
     // the reference exactly.
     hierarchy.flushAll();
     for (const auto &[addr, ref] : reference) {
-        EXPECT_EQ(tags.get(addr), ref.tag);
-        EXPECT_EQ(dram.readLine(addr), ref.data);
+        mem::TaggedLine line = store.readLine(addr);
+        EXPECT_EQ(line.tag, ref.tag);
+        EXPECT_EQ(line.data, ref.data);
     }
 }
 
@@ -218,9 +218,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Atomicity, CapabilityRoundTripsAllFieldsTogether)
 {
     support::Xoshiro256 rng(42);
-    mem::PhysicalMemory dram(1 << 16);
-    mem::TagTable tags(1 << 16);
-    mem::TagManager manager(dram, tags);
+    mem::CowStore store(1 << 16);
+    mem::TagManager manager(store);
     cache::CacheHierarchy hierarchy(manager);
     std::uint64_t cycles = 0;
 
