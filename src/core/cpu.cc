@@ -620,13 +620,11 @@ Cpu::injectMemoSkew(std::uint64_t pick)
  * case by case (the compiler inlines them back, so the per-
  * instruction path keeps its baseline codegen), while the superblock
  * tier dispatches the very same functions through a pre-resolved
- * label table (computed goto) or function-pointer table — one source
- * of truth for instruction semantics, two dispatch mechanisms.
+ * label table (computed goto) — one source of truth for instruction
+ * semantics, two dispatch mechanisms.
  */
 struct CpuExec
 {
-    using Fn = void (*)(Cpu &, const Instruction &);
-
     static void invalid(Cpu &c, const Instruction &)
     {
         c.raise(ExcCode::kReservedInstruction);
@@ -1169,15 +1167,6 @@ CHERI_FOR_EACH_OPCODE(X)
 static_assert(kOpIndexCount == isa::kNumOpcodes,
               "CHERI_FOR_EACH_OPCODE must cover every opcode");
 
-#ifndef CHERI_HAVE_COMPUTED_GOTO
-/** Pre-resolved handler table for the portable dispatch fallback. */
-constexpr std::array<CpuExec::Fn, isa::kNumOpcodes> kExecTable = {
-#define X(op, fn) &CpuExec::fn,
-    CHERI_FOR_EACH_OPCODE(X)
-#undef X
-};
-#endif
-
 } // namespace
 
 void
@@ -1442,7 +1431,6 @@ Cpu::executeSuperblock(Superblock &sb, const RunLimits &limits,
     // so lazy PC materialization is disabled for the whole call.
     const bool force_full = trace_hook_ != nullptr;
 
-#ifdef CHERI_HAVE_COMPUTED_GOTO
     // Label-per-opcode dispatch table in Opcode order (pinned by the
     // static_asserts above); shared handlers appear multiple times.
     static const void *const kLabels[isa::kNumOpcodes] = {
@@ -1450,7 +1438,6 @@ Cpu::executeSuperblock(Superblock &sb, const RunLimits &limits,
         CHERI_FOR_EACH_OPCODE(X)
 #undef X
     };
-#endif
 
     Superblock *chain = &sb;
     for (;;) { // one iteration per chained block
@@ -1547,7 +1534,6 @@ Cpu::executeSuperblock(Superblock &sb, const RunLimits &limits,
                 trace_hook_(current_pc_, inst);
         }
 
-#ifdef CHERI_HAVE_COMPUTED_GOTO
         goto *kLabels[static_cast<std::size_t>(inst.op)];
 #define H(fn) \
     dispatch_##fn: \
@@ -1556,9 +1542,6 @@ Cpu::executeSuperblock(Superblock &sb, const RunLimits &limits,
         CHERI_FOR_EACH_HANDLER(H)
 #undef H
     retire:
-#else
-        kExecTable[static_cast<std::size_t>(inst.op)](*this, inst);
-#endif
         ++retired; // instruction count + base CPI, settled at exit
 
         if (full) {

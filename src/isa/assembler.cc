@@ -5,8 +5,6 @@
 namespace cheri::isa
 {
 
-using namespace encode;
-
 Assembler::Assembler(std::uint64_t base_addr) : base_addr_(base_addr)
 {
     if (base_addr % 4 != 0)
@@ -44,6 +42,22 @@ Assembler::emit(std::uint32_t word)
     if (finished_)
         support::panic("emit after finish()");
     words_.push_back(word);
+}
+
+void
+Assembler::emit(Opcode op, const Operands &operands)
+{
+    emit(encode(op, operands));
+}
+
+void
+Assembler::emit(Opcode op, const Operands &operands, Label label)
+{
+    FixupKind kind = opInfo(op).format == Format::kJump
+                         ? FixupKind::kJump26
+                         : FixupKind::kBranch16;
+    fixups_.push_back({words_.size(), label.id, kind});
+    emit(op, operands);
 }
 
 std::vector<std::uint32_t>
@@ -117,263 +131,210 @@ Assembler::b(Label label)
 }
 
 void Assembler::sll(unsigned rd, unsigned rt, unsigned sa)
-{ emit(alu(Opcode::kSll, rd, 0, rt, sa)); }
+{ emit(Opcode::kSll, {rd, rt, sa}); }
 void Assembler::srl(unsigned rd, unsigned rt, unsigned sa)
-{ emit(alu(Opcode::kSrl, rd, 0, rt, sa)); }
+{ emit(Opcode::kSrl, {rd, rt, sa}); }
 void Assembler::sra(unsigned rd, unsigned rt, unsigned sa)
-{ emit(alu(Opcode::kSra, rd, 0, rt, sa)); }
+{ emit(Opcode::kSra, {rd, rt, sa}); }
 void Assembler::dsll(unsigned rd, unsigned rt, unsigned sa)
-{ emit(alu(Opcode::kDsll, rd, 0, rt, sa)); }
+{ emit(Opcode::kDsll, {rd, rt, sa}); }
 void Assembler::dsrl(unsigned rd, unsigned rt, unsigned sa)
-{ emit(alu(Opcode::kDsrl, rd, 0, rt, sa)); }
+{ emit(Opcode::kDsrl, {rd, rt, sa}); }
 void Assembler::dsra(unsigned rd, unsigned rt, unsigned sa)
-{ emit(alu(Opcode::kDsra, rd, 0, rt, sa)); }
+{ emit(Opcode::kDsra, {rd, rt, sa}); }
 void Assembler::dsll32(unsigned rd, unsigned rt, unsigned sa)
-{ emit(alu(Opcode::kDsll32, rd, 0, rt, sa)); }
+{ emit(Opcode::kDsll32, {rd, rt, sa}); }
 void Assembler::dsrl32(unsigned rd, unsigned rt, unsigned sa)
-{ emit(alu(Opcode::kDsrl32, rd, 0, rt, sa)); }
+{ emit(Opcode::kDsrl32, {rd, rt, sa}); }
+void Assembler::dsra32(unsigned rd, unsigned rt, unsigned sa)
+{ emit(Opcode::kDsra32, {rd, rt, sa}); }
 void Assembler::sllv(unsigned rd, unsigned rt, unsigned rs)
-{ emit(alu(Opcode::kSllv, rd, rs, rt)); }
+{ emit(Opcode::kSllv, {rd, rt, rs}); }
 void Assembler::srlv(unsigned rd, unsigned rt, unsigned rs)
-{ emit(alu(Opcode::kSrlv, rd, rs, rt)); }
+{ emit(Opcode::kSrlv, {rd, rt, rs}); }
 void Assembler::srav(unsigned rd, unsigned rt, unsigned rs)
-{ emit(alu(Opcode::kSrav, rd, rs, rt)); }
+{ emit(Opcode::kSrav, {rd, rt, rs}); }
 void Assembler::dsllv(unsigned rd, unsigned rt, unsigned rs)
-{ emit(alu(Opcode::kDsllv, rd, rs, rt)); }
+{ emit(Opcode::kDsllv, {rd, rt, rs}); }
 void Assembler::dsrlv(unsigned rd, unsigned rt, unsigned rs)
-{ emit(alu(Opcode::kDsrlv, rd, rs, rt)); }
+{ emit(Opcode::kDsrlv, {rd, rt, rs}); }
 void Assembler::dsrav(unsigned rd, unsigned rt, unsigned rs)
-{ emit(alu(Opcode::kDsrav, rd, rs, rt)); }
+{ emit(Opcode::kDsrav, {rd, rt, rs}); }
 
 void Assembler::addu(unsigned rd, unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kAddu, rd, rs, rt)); }
+{ emit(Opcode::kAddu, {rd, rs, rt}); }
 void Assembler::daddu(unsigned rd, unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kDaddu, rd, rs, rt)); }
+{ emit(Opcode::kDaddu, {rd, rs, rt}); }
 void Assembler::subu(unsigned rd, unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kSubu, rd, rs, rt)); }
+{ emit(Opcode::kSubu, {rd, rs, rt}); }
 void Assembler::dsubu(unsigned rd, unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kDsubu, rd, rs, rt)); }
+{ emit(Opcode::kDsubu, {rd, rs, rt}); }
 void Assembler::and_(unsigned rd, unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kAnd, rd, rs, rt)); }
+{ emit(Opcode::kAnd, {rd, rs, rt}); }
 void Assembler::or_(unsigned rd, unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kOr, rd, rs, rt)); }
+{ emit(Opcode::kOr, {rd, rs, rt}); }
 void Assembler::xor_(unsigned rd, unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kXor, rd, rs, rt)); }
+{ emit(Opcode::kXor, {rd, rs, rt}); }
 void Assembler::nor(unsigned rd, unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kNor, rd, rs, rt)); }
+{ emit(Opcode::kNor, {rd, rs, rt}); }
 void Assembler::slt(unsigned rd, unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kSlt, rd, rs, rt)); }
+{ emit(Opcode::kSlt, {rd, rs, rt}); }
 void Assembler::sltu(unsigned rd, unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kSltu, rd, rs, rt)); }
+{ emit(Opcode::kSltu, {rd, rs, rt}); }
 void Assembler::movz(unsigned rd, unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kMovz, rd, rs, rt)); }
+{ emit(Opcode::kMovz, {rd, rs, rt}); }
 void Assembler::movn(unsigned rd, unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kMovn, rd, rs, rt)); }
+{ emit(Opcode::kMovn, {rd, rs, rt}); }
 void Assembler::dmult(unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kDmult, 0, rs, rt)); }
+{ emit(Opcode::kDmult, {rs, rt}); }
 void Assembler::dmultu(unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kDmultu, 0, rs, rt)); }
+{ emit(Opcode::kDmultu, {rs, rt}); }
 void Assembler::ddiv(unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kDdiv, 0, rs, rt)); }
+{ emit(Opcode::kDdiv, {rs, rt}); }
 void Assembler::ddivu(unsigned rs, unsigned rt)
-{ emit(alu(Opcode::kDdivu, 0, rs, rt)); }
-void Assembler::mfhi(unsigned rd) { emit(alu(Opcode::kMfhi, rd, 0, 0)); }
-void Assembler::mflo(unsigned rd) { emit(alu(Opcode::kMflo, rd, 0, 0)); }
+{ emit(Opcode::kDdivu, {rs, rt}); }
+void Assembler::mfhi(unsigned rd) { emit(Opcode::kMfhi, {rd}); }
+void Assembler::mflo(unsigned rd) { emit(Opcode::kMflo, {rd}); }
 
 void Assembler::addiu(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajAddiu, rs, rt, imm)); }
+{ emit(Opcode::kAddiu, {rt, rs, imm}); }
 void Assembler::daddiu(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajDaddiu, rs, rt, imm)); }
+{ emit(Opcode::kDaddiu, {rt, rs, imm}); }
 void Assembler::slti(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajSlti, rs, rt, imm)); }
+{ emit(Opcode::kSlti, {rt, rs, imm}); }
 void Assembler::sltiu(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajSltiu, rs, rt, imm)); }
-
-void
-Assembler::andi(unsigned rt, unsigned rs, std::uint32_t imm)
-{
-    if (imm > 0xffff)
-        support::panic("andi immediate 0x%x too wide", imm);
-    emit((kMajAndi << 26) | (rs << 21) | (rt << 16) | imm);
-}
-
-void
-Assembler::ori(unsigned rt, unsigned rs, std::uint32_t imm)
-{
-    if (imm > 0xffff)
-        support::panic("ori immediate 0x%x too wide", imm);
-    emit((kMajOri << 26) | (rs << 21) | (rt << 16) | imm);
-}
-
-void
-Assembler::xori(unsigned rt, unsigned rs, std::uint32_t imm)
-{
-    if (imm > 0xffff)
-        support::panic("xori immediate 0x%x too wide", imm);
-    emit((kMajXori << 26) | (rs << 21) | (rt << 16) | imm);
-}
-
+{ emit(Opcode::kSltiu, {rt, rs, imm}); }
+void Assembler::andi(unsigned rt, unsigned rs, std::uint32_t imm)
+{ emit(Opcode::kAndi, {rt, rs, imm}); }
+void Assembler::ori(unsigned rt, unsigned rs, std::uint32_t imm)
+{ emit(Opcode::kOri, {rt, rs, imm}); }
+void Assembler::xori(unsigned rt, unsigned rs, std::uint32_t imm)
+{ emit(Opcode::kXori, {rt, rs, imm}); }
 void Assembler::lui(unsigned rt, std::int32_t imm)
-{ emit(iType(kMajLui, 0, rt, imm)); }
+{ emit(Opcode::kLui, {rt, imm}); }
 
-void
-Assembler::branch(unsigned opcode, unsigned rs, unsigned rt, Label label)
-{
-    fixups_.push_back(
-        {words_.size(), label.id, FixupKind::kBranch16});
-    emit(iType(opcode, rs, rt, 0));
-}
-
-void
-Assembler::regimm(unsigned sel, unsigned rs, Label label)
-{
-    fixups_.push_back(
-        {words_.size(), label.id, FixupKind::kBranch16});
-    emit(iType(kMajRegimm, rs, sel, 0));
-}
-
-void
-Assembler::j(Label label)
-{
-    fixups_.push_back({words_.size(), label.id, FixupKind::kJump26});
-    emit(jType(kMajJ, 0));
-}
-
-void
-Assembler::jal(Label label)
-{
-    fixups_.push_back({words_.size(), label.id, FixupKind::kJump26});
-    emit(jType(kMajJal, 0));
-}
-
-void Assembler::jr(unsigned rs) { emit(alu(Opcode::kJr, 0, rs, 0)); }
+void Assembler::j(Label label) { emit(Opcode::kJ, {}, label); }
+void Assembler::jal(Label label) { emit(Opcode::kJal, {}, label); }
+void Assembler::jr(unsigned rs) { emit(Opcode::kJr, {rs}); }
 void Assembler::jalr(unsigned rd, unsigned rs)
-{ emit(alu(Opcode::kJalr, rd, rs, 0)); }
+{ emit(Opcode::kJalr, {rd, rs}); }
 void Assembler::beq(unsigned rs, unsigned rt, Label label)
-{ branch(kMajBeq, rs, rt, label); }
+{ emit(Opcode::kBeq, {rs, rt}, label); }
 void Assembler::bne(unsigned rs, unsigned rt, Label label)
-{ branch(kMajBne, rs, rt, label); }
+{ emit(Opcode::kBne, {rs, rt}, label); }
 void Assembler::blez(unsigned rs, Label label)
-{ branch(kMajBlez, rs, 0, label); }
+{ emit(Opcode::kBlez, {rs}, label); }
 void Assembler::bgtz(unsigned rs, Label label)
-{ branch(kMajBgtz, rs, 0, label); }
-void Assembler::bltz(unsigned rs, Label label) { regimm(0, rs, label); }
-void Assembler::bgez(unsigned rs, Label label) { regimm(1, rs, label); }
-void Assembler::syscall() { emit(alu(Opcode::kSyscall, 0, 0, 0)); }
-void Assembler::break_() { emit(alu(Opcode::kBreak, 0, 0, 0)); }
+{ emit(Opcode::kBgtz, {rs}, label); }
+void Assembler::bltz(unsigned rs, Label label)
+{ emit(Opcode::kBltz, {rs}, label); }
+void Assembler::bgez(unsigned rs, Label label)
+{ emit(Opcode::kBgez, {rs}, label); }
+void Assembler::syscall() { emit(Opcode::kSyscall, {}); }
+void Assembler::break_() { emit(Opcode::kBreak, {}); }
 
 void Assembler::lb(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajLb, rs, rt, imm)); }
+{ emit(Opcode::kLb, {rt, imm, rs}); }
 void Assembler::lbu(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajLbu, rs, rt, imm)); }
+{ emit(Opcode::kLbu, {rt, imm, rs}); }
 void Assembler::lh(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajLh, rs, rt, imm)); }
+{ emit(Opcode::kLh, {rt, imm, rs}); }
 void Assembler::lhu(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajLhu, rs, rt, imm)); }
+{ emit(Opcode::kLhu, {rt, imm, rs}); }
 void Assembler::lw(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajLw, rs, rt, imm)); }
+{ emit(Opcode::kLw, {rt, imm, rs}); }
 void Assembler::lwu(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajLwu, rs, rt, imm)); }
+{ emit(Opcode::kLwu, {rt, imm, rs}); }
 void Assembler::ld(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajLd, rs, rt, imm)); }
+{ emit(Opcode::kLd, {rt, imm, rs}); }
 void Assembler::sb(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajSb, rs, rt, imm)); }
+{ emit(Opcode::kSb, {rt, imm, rs}); }
 void Assembler::sh(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajSh, rs, rt, imm)); }
+{ emit(Opcode::kSh, {rt, imm, rs}); }
 void Assembler::sw(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajSw, rs, rt, imm)); }
+{ emit(Opcode::kSw, {rt, imm, rs}); }
 void Assembler::sd(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajSd, rs, rt, imm)); }
+{ emit(Opcode::kSd, {rt, imm, rs}); }
 void Assembler::lld(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajLld, rs, rt, imm)); }
+{ emit(Opcode::kLld, {rt, imm, rs}); }
 void Assembler::scd(unsigned rt, unsigned rs, std::int32_t imm)
-{ emit(iType(kMajScd, rs, rt, imm)); }
+{ emit(Opcode::kScd, {rt, imm, rs}); }
 
 void Assembler::cgetbase(unsigned rd, unsigned cb)
-{ emit(cop2(kC2GetBase, rd, cb, 0)); }
+{ emit(Opcode::kCGetBase, {rd, cb}); }
 void Assembler::cgetlen(unsigned rd, unsigned cb)
-{ emit(cop2(kC2GetLen, rd, cb, 0)); }
+{ emit(Opcode::kCGetLen, {rd, cb}); }
 void Assembler::cgettag(unsigned rd, unsigned cb)
-{ emit(cop2(kC2GetTag, rd, cb, 0)); }
+{ emit(Opcode::kCGetTag, {rd, cb}); }
 void Assembler::cgetperm(unsigned rd, unsigned cb)
-{ emit(cop2(kC2GetPerm, rd, cb, 0)); }
+{ emit(Opcode::kCGetPerm, {rd, cb}); }
 void Assembler::cgetpcc(unsigned cd, unsigned rd)
-{ emit(cop2(kC2GetPcc, cd, rd, 0)); }
+{ emit(Opcode::kCGetPcc, {cd, rd}); }
 
 void Assembler::cincbase(unsigned cd, unsigned cb, unsigned rt)
-{ emit(cop2(kC2IncBase, cd, cb, rt)); }
+{ emit(Opcode::kCIncBase, {cd, cb, rt}); }
 void Assembler::csetlen(unsigned cd, unsigned cb, unsigned rt)
-{ emit(cop2(kC2SetLen, cd, cb, rt)); }
+{ emit(Opcode::kCSetLen, {cd, cb, rt}); }
 void Assembler::ccleartag(unsigned cd, unsigned cb)
-{ emit(cop2(kC2ClearTag, cd, cb, 0)); }
+{ emit(Opcode::kCClearTag, {cd, cb}); }
 void Assembler::candperm(unsigned cd, unsigned cb, unsigned rt)
-{ emit(cop2(kC2AndPerm, cd, cb, rt)); }
+{ emit(Opcode::kCAndPerm, {cd, cb, rt}); }
 
 void Assembler::ctoptr(unsigned rd, unsigned cb, unsigned ct)
-{ emit(cop2(kC2ToPtr, rd, cb, ct)); }
+{ emit(Opcode::kCToPtr, {rd, cb, ct}); }
 void Assembler::cfromptr(unsigned cd, unsigned cb, unsigned rt)
-{ emit(cop2(kC2FromPtr, cd, cb, rt)); }
+{ emit(Opcode::kCFromPtr, {cd, cb, rt}); }
 
-void
-Assembler::cbtu(unsigned cb, Label label)
-{
-    fixups_.push_back({words_.size(), label.id, FixupKind::kBranch16});
-    emit(capBranch(/*on_set=*/false, cb, 0));
-}
-
-void
-Assembler::cbts(unsigned cb, Label label)
-{
-    fixups_.push_back({words_.size(), label.id, FixupKind::kBranch16});
-    emit(capBranch(/*on_set=*/true, cb, 0));
-}
+void Assembler::cbtu(unsigned cb, Label label)
+{ emit(Opcode::kCBtu, {cb}, label); }
+void Assembler::cbts(unsigned cb, Label label)
+{ emit(Opcode::kCBts, {cb}, label); }
 
 void Assembler::clc(unsigned cd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capCapMem(true, cd, cb, rt, imm)); }
+{ emit(Opcode::kCLc, {cd, rt, imm, cb}); }
 void Assembler::csc(unsigned cd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capCapMem(false, cd, cb, rt, imm)); }
-
+{ emit(Opcode::kCSc, {cd, rt, imm, cb}); }
 void Assembler::clb(unsigned rd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capMem(true, false, 0, rd, cb, rt, imm)); }
+{ emit(Opcode::kClb, {rd, rt, imm, cb}); }
 void Assembler::clbu(unsigned rd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capMem(true, true, 0, rd, cb, rt, imm)); }
+{ emit(Opcode::kClbu, {rd, rt, imm, cb}); }
 void Assembler::clh(unsigned rd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capMem(true, false, 1, rd, cb, rt, imm)); }
+{ emit(Opcode::kClh, {rd, rt, imm, cb}); }
 void Assembler::clhu(unsigned rd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capMem(true, true, 1, rd, cb, rt, imm)); }
+{ emit(Opcode::kClhu, {rd, rt, imm, cb}); }
 void Assembler::clw(unsigned rd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capMem(true, false, 2, rd, cb, rt, imm)); }
+{ emit(Opcode::kClw, {rd, rt, imm, cb}); }
 void Assembler::clwu(unsigned rd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capMem(true, true, 2, rd, cb, rt, imm)); }
+{ emit(Opcode::kClwu, {rd, rt, imm, cb}); }
 void Assembler::cld(unsigned rd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capMem(true, false, 3, rd, cb, rt, imm)); }
+{ emit(Opcode::kCld, {rd, rt, imm, cb}); }
 void Assembler::csb(unsigned rd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capMem(false, false, 0, rd, cb, rt, imm)); }
+{ emit(Opcode::kCsb, {rd, rt, imm, cb}); }
 void Assembler::csh(unsigned rd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capMem(false, false, 1, rd, cb, rt, imm)); }
+{ emit(Opcode::kCsh, {rd, rt, imm, cb}); }
 void Assembler::csw(unsigned rd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capMem(false, false, 2, rd, cb, rt, imm)); }
+{ emit(Opcode::kCsw, {rd, rt, imm, cb}); }
 void Assembler::csd(unsigned rd, unsigned cb, unsigned rt, std::int32_t imm)
-{ emit(capMem(false, false, 3, rd, cb, rt, imm)); }
+{ emit(Opcode::kCsd, {rd, rt, imm, cb}); }
 
 void Assembler::clld(unsigned rd, unsigned cb, unsigned rt)
-{ emit(cop2(kC2Lld, rd, cb, rt)); }
+{ emit(Opcode::kClld, {rd, rt, cb}); }
 void Assembler::cscd(unsigned rd, unsigned cb, unsigned rt)
-{ emit(cop2(kC2Scd, rd, cb, rt)); }
+{ emit(Opcode::kCscd, {rd, rt, cb}); }
 
 void Assembler::cjr(unsigned cb, unsigned rt)
-{ emit(cop2(kC2Jr, cb, rt, 0)); }
+{ emit(Opcode::kCJr, {rt, cb}); }
 void Assembler::cjalr(unsigned cd, unsigned cb, unsigned rt)
-{ emit(cop2(kC2Jalr, cd, cb, rt)); }
+{ emit(Opcode::kCJalr, {cd, rt, cb}); }
 
 void Assembler::cseal(unsigned cd, unsigned cb, unsigned ct)
-{ emit(cop2(kC2Seal, cd, cb, ct)); }
+{ emit(Opcode::kCSeal, {cd, cb, ct}); }
 void Assembler::cunseal(unsigned cd, unsigned cb, unsigned ct)
-{ emit(cop2(kC2Unseal, cd, cb, ct)); }
+{ emit(Opcode::kCUnseal, {cd, cb, ct}); }
 void Assembler::cgettype(unsigned rd, unsigned cb)
-{ emit(cop2(kC2GetType, rd, cb, 0)); }
+{ emit(Opcode::kCGetType, {rd, cb}); }
 void Assembler::ccall(unsigned cs, unsigned cb)
-{ emit(cop2(kC2Call, cs, cb, 0)); }
-void Assembler::creturn() { emit(cop2(kC2Return, 0, 0, 0)); }
+{ emit(Opcode::kCCall, {cs, cb}); }
+void Assembler::creturn() { emit(Opcode::kCReturn, {}); }
 
 } // namespace cheri::isa

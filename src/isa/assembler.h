@@ -71,6 +71,11 @@ class Assembler
 
     // --- raw emission ---
     void emit(std::uint32_t word);
+    /** Encode op from operands in its syntax order (see OpInfo). */
+    void emit(Opcode op, const Operands &operands);
+    /** Same, with the branch offset or jump target that finish()
+     *  patches in for label (pass 0 in its operand slot). */
+    void emit(Opcode op, const Operands &operands, Label label);
 
     // --- pseudo instructions ---
     void nop() { emit(0); }
@@ -91,6 +96,7 @@ class Assembler
     void dsra(unsigned rd, unsigned rt, unsigned sa);
     void dsll32(unsigned rd, unsigned rt, unsigned sa);
     void dsrl32(unsigned rd, unsigned rt, unsigned sa);
+    void dsra32(unsigned rd, unsigned rt, unsigned sa);
     void sllv(unsigned rd, unsigned rt, unsigned rs);
     void srlv(unsigned rd, unsigned rt, unsigned rs);
     void srav(unsigned rd, unsigned rt, unsigned rs);
@@ -215,9 +221,6 @@ class Assembler
         unsigned label_id;
         FixupKind kind;
     };
-
-    void branch(unsigned opcode, unsigned rs, unsigned rt, Label label);
-    void regimm(unsigned sel, unsigned rs, Label label);
 
     std::uint64_t base_addr_;
     std::vector<std::uint32_t> words_;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Binary instruction decoder: inverts every encoding in encoder.h and
- * produces the decoded Instruction the executor consumes. Unknown
- * encodings decode to Opcode::kInvalid, which the CPU turns into a
- * reserved-instruction exception.
+ * Binary instruction decoder: finds a word's row in the instruction
+ * table (isa.h) and produces the decoded Instruction the executor
+ * consumes. Unknown encodings decode to Opcode::kInvalid, which the
+ * CPU turns into a reserved-instruction exception.
  */
 
 #ifndef CHERI_ISA_DECODER_H

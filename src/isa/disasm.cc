@@ -1,194 +1,42 @@
 #include "isa/disasm.h"
 
+#include "isa/encoder.h"
 #include "support/logging.h"
 
 namespace cheri::isa
 {
 
-namespace
-{
-
-std::string
-r(unsigned index)
-{
-    return kRegNames[index & 31];
-}
-
-std::string
-c(unsigned index)
-{
-    return support::format("c%u", index & 31);
-}
-
-} // namespace
-
 std::string
 disassemble(const Instruction &inst)
 {
     using support::format;
-    const char *name = opcodeName(inst.op);
-    switch (inst.op) {
-      case Opcode::kInvalid:
+    if (inst.op == Opcode::kInvalid)
         return format("invalid(0x%08x)", inst.raw);
-      case Opcode::kSll:
-        if (inst.raw == 0)
-            return "nop";
-        [[fallthrough]];
-      case Opcode::kSrl:
-      case Opcode::kSra:
-      case Opcode::kDsll:
-      case Opcode::kDsrl:
-      case Opcode::kDsra:
-      case Opcode::kDsll32:
-      case Opcode::kDsrl32:
-      case Opcode::kDsra32:
-        return format("%s %s, %s, %u", name, r(inst.rd).c_str(),
-                      r(inst.rt).c_str(), inst.sa);
-      case Opcode::kSllv:
-      case Opcode::kSrlv:
-      case Opcode::kSrav:
-      case Opcode::kDsllv:
-      case Opcode::kDsrlv:
-      case Opcode::kDsrav:
-        return format("%s %s, %s, %s", name, r(inst.rd).c_str(),
-                      r(inst.rt).c_str(), r(inst.rs).c_str());
-      case Opcode::kAddu:
-      case Opcode::kDaddu:
-      case Opcode::kSubu:
-      case Opcode::kDsubu:
-      case Opcode::kAnd:
-      case Opcode::kOr:
-      case Opcode::kXor:
-      case Opcode::kNor:
-      case Opcode::kSlt:
-      case Opcode::kSltu:
-      case Opcode::kMovz:
-      case Opcode::kMovn:
-        return format("%s %s, %s, %s", name, r(inst.rd).c_str(),
-                      r(inst.rs).c_str(), r(inst.rt).c_str());
-      case Opcode::kDmult:
-      case Opcode::kDmultu:
-      case Opcode::kDdiv:
-      case Opcode::kDdivu:
-        return format("%s %s, %s", name, r(inst.rs).c_str(),
-                      r(inst.rt).c_str());
-      case Opcode::kMfhi:
-      case Opcode::kMflo:
-        return format("%s %s", name, r(inst.rd).c_str());
-      case Opcode::kAddiu:
-      case Opcode::kDaddiu:
-      case Opcode::kSlti:
-      case Opcode::kSltiu:
-        return format("%s %s, %s, %d", name, r(inst.rt).c_str(),
-                      r(inst.rs).c_str(), inst.imm);
-      case Opcode::kAndi:
-      case Opcode::kOri:
-      case Opcode::kXori:
-        return format("%s %s, %s, 0x%x", name, r(inst.rt).c_str(),
-                      r(inst.rs).c_str(), inst.imm & 0xffff);
-      case Opcode::kLui:
-        return format("%s %s, 0x%x", name, r(inst.rt).c_str(),
-                      inst.imm & 0xffff);
-      case Opcode::kJ:
-      case Opcode::kJal:
-        return format("%s 0x%x", name, inst.target << 2);
-      case Opcode::kJr:
-        return format("%s %s", name, r(inst.rs).c_str());
-      case Opcode::kJalr:
-        return format("%s %s, %s", name, r(inst.rd).c_str(),
-                      r(inst.rs).c_str());
-      case Opcode::kBeq:
-      case Opcode::kBne:
-        return format("%s %s, %s, %d", name, r(inst.rs).c_str(),
-                      r(inst.rt).c_str(), inst.imm);
-      case Opcode::kBlez:
-      case Opcode::kBgtz:
-      case Opcode::kBltz:
-      case Opcode::kBgez:
-        return format("%s %s, %d", name, r(inst.rs).c_str(), inst.imm);
-      case Opcode::kSyscall:
-      case Opcode::kBreak:
-        return name;
-      case Opcode::kLb:
-      case Opcode::kLbu:
-      case Opcode::kLh:
-      case Opcode::kLhu:
-      case Opcode::kLw:
-      case Opcode::kLwu:
-      case Opcode::kLd:
-      case Opcode::kSb:
-      case Opcode::kSh:
-      case Opcode::kSw:
-      case Opcode::kSd:
-      case Opcode::kLld:
-      case Opcode::kScd:
-        return format("%s %s, %d(%s)", name, r(inst.rt).c_str(),
-                      inst.imm, r(inst.rs).c_str());
-      case Opcode::kCGetBase:
-      case Opcode::kCGetLen:
-      case Opcode::kCGetTag:
-      case Opcode::kCGetPerm:
-        return format("%s %s, %s", name, r(inst.rd).c_str(),
-                      c(inst.cb).c_str());
-      case Opcode::kCGetPcc:
-        return format("%s %s, %s", name, c(inst.cd).c_str(),
-                      r(inst.rd).c_str());
-      case Opcode::kCIncBase:
-      case Opcode::kCSetLen:
-      case Opcode::kCAndPerm:
-      case Opcode::kCFromPtr:
-        return format("%s %s, %s, %s", name, c(inst.cd).c_str(),
-                      c(inst.cb).c_str(), r(inst.rt).c_str());
-      case Opcode::kCClearTag:
-        return format("%s %s, %s", name, c(inst.cd).c_str(),
-                      c(inst.cb).c_str());
-      case Opcode::kCToPtr:
-        return format("%s %s, %s, %s", name, r(inst.rd).c_str(),
-                      c(inst.cb).c_str(), c(inst.ct).c_str());
-      case Opcode::kCBtu:
-      case Opcode::kCBts:
-        return format("%s %s, %d", name, c(inst.cb).c_str(), inst.imm);
-      case Opcode::kCLc:
-      case Opcode::kCSc:
-        return format("%s %s, %s, %d(%s)", name, c(inst.cd).c_str(),
-                      r(inst.rt).c_str(), inst.imm, c(inst.cb).c_str());
-      case Opcode::kClb:
-      case Opcode::kClbu:
-      case Opcode::kClh:
-      case Opcode::kClhu:
-      case Opcode::kClw:
-      case Opcode::kClwu:
-      case Opcode::kCld:
-      case Opcode::kCsb:
-      case Opcode::kCsh:
-      case Opcode::kCsw:
-      case Opcode::kCsd:
-        return format("%s %s, %s, %d(%s)", name, r(inst.rd).c_str(),
-                      r(inst.rt).c_str(), inst.imm, c(inst.cb).c_str());
-      case Opcode::kClld:
-      case Opcode::kCscd:
-        return format("%s %s, %s(%s)", name, r(inst.rd).c_str(),
-                      r(inst.rt).c_str(), c(inst.cb).c_str());
-      case Opcode::kCJr:
-        return format("%s %s(%s)", name, r(inst.rt).c_str(),
-                      c(inst.cb).c_str());
-      case Opcode::kCJalr:
-        return format("%s %s, %s(%s)", name, c(inst.cd).c_str(),
-                      r(inst.rt).c_str(), c(inst.cb).c_str());
-      case Opcode::kCSeal:
-      case Opcode::kCUnseal:
-        return format("%s %s, %s, %s", name, c(inst.cd).c_str(),
-                      c(inst.cb).c_str(), c(inst.ct).c_str());
-      case Opcode::kCGetType:
-        return format("%s %s, %s", name, r(inst.rd).c_str(),
-                      c(inst.cb).c_str());
-      case Opcode::kCCall:
-        return format("%s %s, %s", name, c(inst.cb).c_str(),
-                      c(inst.ct).c_str());
-      case Opcode::kCReturn:
-        return name;
+    if (inst.op == Opcode::kSll && inst.raw == 0)
+        return "nop";
+    const OpInfo &row = opInfo(inst.op);
+    std::string text = row.name;
+    if (*row.syntax != '\0')
+        text += ' ';
+    for (const char *c = row.syntax; *c != '\0'; ++c) {
+        std::int64_t value = fieldValue(inst, fieldOf(*c));
+        switch (*c) {
+          case ',': text += ", "; break;
+          case '(': case ')': text += *c; break;
+          case 'd': case 's': case 't': text += kRegNames[value & 31]; break;
+          case 'D': case 'B': case 'T':
+            text += format("c%u", static_cast<unsigned>(value & 31));
+            break;
+          case 'u': case 'h':
+            text += format("0x%x", static_cast<unsigned>(value & 0xffff));
+            break;
+          case 'a':
+            text += format("0x%x", static_cast<std::uint32_t>(value << 2));
+            break;
+          default: text += std::to_string(value); break; // <, i, p
+        }
     }
-    return name;
+    return text;
 }
 
 } // namespace cheri::isa

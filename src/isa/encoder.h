@@ -1,54 +1,82 @@
 /**
  * @file
- * Binary instruction encoders: one function per instruction form,
- * producing the 32-bit words the Decoder consumes. The Assembler
- * builds programs on top of these.
+ * The table-driven encoder: turns an opcode and its operands into the
+ * 32-bit word the decoder consumes, placing each operand where the
+ * instruction's kOps row says. The Assembler builds programs on top
+ * of it.
  */
 
 #ifndef CHERI_ISA_ENCODER_H
 #define CHERI_ISA_ENCODER_H
 
+#include <array>
 #include <cstdint>
+#include <string>
 
 #include "isa/isa.h"
 
-namespace cheri::isa::encode
+namespace cheri::isa
 {
 
-/** SPECIAL-major R-type: opcode 0, fields rs/rt/rd/sa/funct. */
-std::uint32_t rType(unsigned funct, unsigned rs, unsigned rt,
-                    unsigned rd, unsigned sa = 0);
+/** The Instruction field a syntax letter names (see OpInfo). */
+enum class Field : std::uint8_t
+{
+    kRs, kRt, kRd, kSa, kCd, kCb, kCt, kImm, kTarget, kNone,
+};
 
-/** I-type: opcode, rs, rt, 16-bit immediate. */
-std::uint32_t iType(unsigned opcode, unsigned rs, unsigned rt,
-                    std::int32_t imm);
+constexpr Field
+fieldOf(char letter)
+{
+    switch (letter) {
+      case 's': return Field::kRs;
+      case 't': return Field::kRt;
+      case 'd': return Field::kRd;
+      case '<': return Field::kSa;
+      case 'D': return Field::kCd;
+      case 'B': return Field::kCb;
+      case 'T': return Field::kCt;
+      case 'i': case 'u': case 'h': case 'p': return Field::kImm;
+      case 'a': return Field::kTarget;
+      default: return Field::kNone; // ',' '(' ')'
+    }
+}
 
-/** J-type: opcode, 26-bit word target. */
-std::uint32_t jType(unsigned opcode, std::uint32_t target);
-
-/** Encode any register-register ALU / shift / jump-register form. */
-std::uint32_t alu(Opcode op, unsigned rd, unsigned rs, unsigned rt,
-                  unsigned sa = 0);
-
-/** Encode a COP2 register operation (sub-opcode under major 0x12). */
-std::uint32_t cop2(unsigned sub, unsigned f1, unsigned f2, unsigned f3);
-
-/** CBTU/CBTS: capability tag branch with signed word offset. */
-std::uint32_t capBranch(bool on_set, unsigned cb, std::int32_t offset);
+/** The value of field in inst (0 for kNone). */
+constexpr std::int64_t
+fieldValue(const Instruction &inst, Field field)
+{
+    switch (field) {
+      case Field::kRs: return inst.rs;
+      case Field::kRt: return inst.rt;
+      case Field::kRd: return inst.rd;
+      case Field::kSa: return inst.sa;
+      case Field::kCd: return inst.cd;
+      case Field::kCb: return inst.cb;
+      case Field::kCt: return inst.ct;
+      case Field::kImm: return inst.imm;
+      case Field::kTarget: return inst.target;
+      case Field::kNone: break;
+    }
+    return 0;
+}
 
 /**
- * Capability-relative data access (CLx/CSx): rd data register, cb
- * capability, rt register offset, imm signed element-scaled immediate,
- * size_log2 in 0..3, is_load and zero_extend selectors.
+ * Operand values in the order the instruction's syntax writes them:
+ * clb's "d,t,i(B)" takes {rd, rt, imm, cb}. Immediates are the
+ * Instruction field values (imm in bytes, branch offsets in words,
+ * the jump target as its 26-bit word field), except that 'u' and 'h'
+ * also take the halfword 0..0xffff, which decodes sign-extended.
  */
-std::uint32_t capMem(bool is_load, bool zero_extend, unsigned size_log2,
-                     unsigned rd, unsigned cb, unsigned rt,
-                     std::int32_t imm);
+using Operands = std::array<std::int64_t, 4>;
 
-/** CLC/CSC: capability load/store, imm scaled by 32 bytes. */
-std::uint32_t capCapMem(bool is_load, unsigned cd, unsigned cb,
-                        unsigned rt, std::int32_t imm);
+/** Why operands cannot encode op: a register, shift amount or
+ *  immediate outside its field. Empty when they fit. */
+std::string operandError(Opcode op, const Operands &operands);
 
-} // namespace cheri::isa::encode
+/** Encode op from its operands; panics where operandError would not
+ *  be empty, and on kInvalid. */
+std::uint32_t encode(Opcode op, const Operands &operands);
+
+} // namespace cheri::isa
 
 #endif // CHERI_ISA_ENCODER_H

@@ -12,186 +12,11 @@ const char *const kRegNames[32] = {
     "t8", "t9", "k0", "k1", "gp", "sp", "fp", "ra",
 };
 
-bool
-Instruction::hasDelaySlot() const
-{
-    switch (op) {
-      case Opcode::kJ:
-      case Opcode::kJal:
-      case Opcode::kJr:
-      case Opcode::kJalr:
-      case Opcode::kBeq:
-      case Opcode::kBne:
-      case Opcode::kBlez:
-      case Opcode::kBgtz:
-      case Opcode::kBltz:
-      case Opcode::kBgez:
-      case Opcode::kCBtu:
-      case Opcode::kCBts:
-      case Opcode::kCJr:
-      case Opcode::kCJalr:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Instruction::isCapMemory() const
-{
-    switch (op) {
-      case Opcode::kCLc:
-      case Opcode::kCSc:
-      case Opcode::kClb:
-      case Opcode::kClbu:
-      case Opcode::kClh:
-      case Opcode::kClhu:
-      case Opcode::kClw:
-      case Opcode::kClwu:
-      case Opcode::kCld:
-      case Opcode::kCsb:
-      case Opcode::kCsh:
-      case Opcode::kCsw:
-      case Opcode::kCsd:
-      case Opcode::kClld:
-      case Opcode::kCscd:
-        return true;
-      default:
-        return false;
-    }
-}
-
 void
 accessSizePanic(Opcode op)
 {
     support::panic("accessSizeLog2 on non-memory opcode %s",
                    opcodeName(op));
-}
-
-bool
-loadIsUnsigned(Opcode op)
-{
-    switch (op) {
-      case Opcode::kLbu:
-      case Opcode::kLhu:
-      case Opcode::kLwu:
-      case Opcode::kClbu:
-      case Opcode::kClhu:
-      case Opcode::kClwu:
-        return true;
-      default:
-        return false;
-    }
-}
-
-const char *
-opcodeName(Opcode op)
-{
-    switch (op) {
-      case Opcode::kInvalid: return "invalid";
-      case Opcode::kSll: return "sll";
-      case Opcode::kSrl: return "srl";
-      case Opcode::kSra: return "sra";
-      case Opcode::kSllv: return "sllv";
-      case Opcode::kSrlv: return "srlv";
-      case Opcode::kSrav: return "srav";
-      case Opcode::kDsll: return "dsll";
-      case Opcode::kDsrl: return "dsrl";
-      case Opcode::kDsra: return "dsra";
-      case Opcode::kDsll32: return "dsll32";
-      case Opcode::kDsrl32: return "dsrl32";
-      case Opcode::kDsra32: return "dsra32";
-      case Opcode::kDsllv: return "dsllv";
-      case Opcode::kDsrlv: return "dsrlv";
-      case Opcode::kDsrav: return "dsrav";
-      case Opcode::kAddu: return "addu";
-      case Opcode::kDaddu: return "daddu";
-      case Opcode::kSubu: return "subu";
-      case Opcode::kDsubu: return "dsubu";
-      case Opcode::kAnd: return "and";
-      case Opcode::kOr: return "or";
-      case Opcode::kXor: return "xor";
-      case Opcode::kNor: return "nor";
-      case Opcode::kSlt: return "slt";
-      case Opcode::kSltu: return "sltu";
-      case Opcode::kMovz: return "movz";
-      case Opcode::kMovn: return "movn";
-      case Opcode::kDmult: return "dmult";
-      case Opcode::kDmultu: return "dmultu";
-      case Opcode::kDdiv: return "ddiv";
-      case Opcode::kDdivu: return "ddivu";
-      case Opcode::kMfhi: return "mfhi";
-      case Opcode::kMflo: return "mflo";
-      case Opcode::kAddiu: return "addiu";
-      case Opcode::kDaddiu: return "daddiu";
-      case Opcode::kSlti: return "slti";
-      case Opcode::kSltiu: return "sltiu";
-      case Opcode::kAndi: return "andi";
-      case Opcode::kOri: return "ori";
-      case Opcode::kXori: return "xori";
-      case Opcode::kLui: return "lui";
-      case Opcode::kJ: return "j";
-      case Opcode::kJal: return "jal";
-      case Opcode::kJr: return "jr";
-      case Opcode::kJalr: return "jalr";
-      case Opcode::kBeq: return "beq";
-      case Opcode::kBne: return "bne";
-      case Opcode::kBlez: return "blez";
-      case Opcode::kBgtz: return "bgtz";
-      case Opcode::kBltz: return "bltz";
-      case Opcode::kBgez: return "bgez";
-      case Opcode::kSyscall: return "syscall";
-      case Opcode::kBreak: return "break";
-      case Opcode::kLb: return "lb";
-      case Opcode::kLbu: return "lbu";
-      case Opcode::kLh: return "lh";
-      case Opcode::kLhu: return "lhu";
-      case Opcode::kLw: return "lw";
-      case Opcode::kLwu: return "lwu";
-      case Opcode::kLd: return "ld";
-      case Opcode::kSb: return "sb";
-      case Opcode::kSh: return "sh";
-      case Opcode::kSw: return "sw";
-      case Opcode::kSd: return "sd";
-      case Opcode::kLld: return "lld";
-      case Opcode::kScd: return "scd";
-      case Opcode::kCGetBase: return "cgetbase";
-      case Opcode::kCGetLen: return "cgetlen";
-      case Opcode::kCGetTag: return "cgettag";
-      case Opcode::kCGetPerm: return "cgetperm";
-      case Opcode::kCGetPcc: return "cgetpcc";
-      case Opcode::kCIncBase: return "cincbase";
-      case Opcode::kCSetLen: return "csetlen";
-      case Opcode::kCClearTag: return "ccleartag";
-      case Opcode::kCAndPerm: return "candperm";
-      case Opcode::kCToPtr: return "ctoptr";
-      case Opcode::kCFromPtr: return "cfromptr";
-      case Opcode::kCBtu: return "cbtu";
-      case Opcode::kCBts: return "cbts";
-      case Opcode::kCLc: return "clc";
-      case Opcode::kCSc: return "csc";
-      case Opcode::kClb: return "clb";
-      case Opcode::kClbu: return "clbu";
-      case Opcode::kClh: return "clh";
-      case Opcode::kClhu: return "clhu";
-      case Opcode::kClw: return "clw";
-      case Opcode::kClwu: return "clwu";
-      case Opcode::kCld: return "cld";
-      case Opcode::kCsb: return "csb";
-      case Opcode::kCsh: return "csh";
-      case Opcode::kCsw: return "csw";
-      case Opcode::kCsd: return "csd";
-      case Opcode::kClld: return "clld";
-      case Opcode::kCscd: return "cscd";
-      case Opcode::kCJr: return "cjr";
-      case Opcode::kCJalr: return "cjalr";
-      case Opcode::kCSeal: return "cseal";
-      case Opcode::kCUnseal: return "cunseal";
-      case Opcode::kCGetType: return "cgettype";
-      case Opcode::kCCall: return "ccall";
-      case Opcode::kCReturn: return "creturn";
-    }
-    return "unknown";
 }
 
 } // namespace cheri::isa

@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "isa/assembler.h"
 #include "support/logging.h"
@@ -243,7 +244,7 @@ using Emitter =
     std::function<bool(LineAssembler &, const Ops &, std::string &)>;
 
 bool
-expectKinds(const Ops &ops, std::initializer_list<Operand::Kind> kinds,
+expectKinds(const Ops &ops, const std::vector<Operand::Kind> &kinds,
             std::string &error)
 {
     if (ops.size() != kinds.size()) {
@@ -251,14 +252,12 @@ expectKinds(const Ops &ops, std::initializer_list<Operand::Kind> kinds,
                                 kinds.size(), ops.size());
         return false;
     }
-    std::size_t index = 0;
-    for (Operand::Kind kind : kinds) {
-        if (ops[index].kind != kind) {
+    for (std::size_t index = 0; index < kinds.size(); ++index) {
+        if (ops[index].kind != kinds[index]) {
             error = support::format("operand %zu has the wrong form",
                                     index + 1);
             return false;
         }
-        ++index;
     }
     return true;
 }
@@ -269,497 +268,195 @@ constexpr auto kImm = Operand::Kind::kImm;
 constexpr auto kLabel = Operand::Kind::kLabel;
 constexpr auto kMem = Operand::Kind::kMem;
 
-/** Build the mnemonic dispatch table. */
+/** Pseudo-ops: mnemonics that are not rows of the instruction table. */
 const std::map<std::string, Emitter> &
-emitters()
+pseudoOps()
 {
-    static const std::map<std::string, Emitter> table = [] {
-        std::map<std::string, Emitter> t;
-
-        auto r3 = [](void (Assembler::*fn)(unsigned, unsigned,
-                                           unsigned)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kGpr, kGpr, kGpr}, error))
-                    return false;
-                (ctx.a().*fn)(ops[0].reg, ops[1].reg, ops[2].reg);
-                return true;
-            };
-        };
-        t["addu"] = r3(&Assembler::addu);
-        t["daddu"] = r3(&Assembler::daddu);
-        t["subu"] = r3(&Assembler::subu);
-        t["dsubu"] = r3(&Assembler::dsubu);
-        t["and"] = r3(&Assembler::and_);
-        t["or"] = r3(&Assembler::or_);
-        t["xor"] = r3(&Assembler::xor_);
-        t["nor"] = r3(&Assembler::nor);
-        t["slt"] = r3(&Assembler::slt);
-        t["sltu"] = r3(&Assembler::sltu);
-        t["movz"] = r3(&Assembler::movz);
-        t["movn"] = r3(&Assembler::movn);
-        // Variable shifts: rd, rt, rs.
-        t["sllv"] = r3(&Assembler::dsllv); // placeholder replaced below
-        t.erase("sllv");
-        auto shift_var = [](void (Assembler::*fn)(unsigned, unsigned,
-                                                  unsigned)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kGpr, kGpr, kGpr}, error))
-                    return false;
-                (ctx.a().*fn)(ops[0].reg, ops[1].reg, ops[2].reg);
-                return true;
-            };
-        };
-        t["sllv"] = shift_var(&Assembler::sllv);
-        t["srlv"] = shift_var(&Assembler::srlv);
-        t["srav"] = shift_var(&Assembler::srav);
-        t["dsllv"] = shift_var(&Assembler::dsllv);
-        t["dsrlv"] = shift_var(&Assembler::dsrlv);
-        t["dsrav"] = shift_var(&Assembler::dsrav);
-
-        auto shift_imm = [](void (Assembler::*fn)(unsigned, unsigned,
-                                                  unsigned)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kGpr, kGpr, kImm}, error))
-                    return false;
-                if (ops[2].imm < 0 || ops[2].imm > 31) {
-                    error = "shift amount out of range";
-                    return false;
-                }
-                (ctx.a().*fn)(ops[0].reg, ops[1].reg,
-                              static_cast<unsigned>(ops[2].imm));
-                return true;
-            };
-        };
-        t["sll"] = shift_imm(&Assembler::sll);
-        t["srl"] = shift_imm(&Assembler::srl);
-        t["sra"] = shift_imm(&Assembler::sra);
-        t["dsll"] = shift_imm(&Assembler::dsll);
-        t["dsrl"] = shift_imm(&Assembler::dsrl);
-        t["dsra"] = shift_imm(&Assembler::dsra);
-        t["dsll32"] = shift_imm(&Assembler::dsll32);
-        t["dsrl32"] = shift_imm(&Assembler::dsrl32);
-
-        auto itype = [](void (Assembler::*fn)(unsigned, unsigned,
-                                              std::int32_t)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kGpr, kGpr, kImm}, error))
-                    return false;
-                (ctx.a().*fn)(ops[0].reg, ops[1].reg,
-                              static_cast<std::int32_t>(ops[2].imm));
-                return true;
-            };
-        };
-        t["addiu"] = itype(&Assembler::addiu);
-        t["daddiu"] = itype(&Assembler::daddiu);
-        t["slti"] = itype(&Assembler::slti);
-        t["sltiu"] = itype(&Assembler::sltiu);
-
-        auto logic_imm = [](void (Assembler::*fn)(unsigned, unsigned,
-                                                  std::uint32_t)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kGpr, kGpr, kImm}, error))
-                    return false;
-                (ctx.a().*fn)(ops[0].reg, ops[1].reg,
-                              static_cast<std::uint32_t>(ops[2].imm));
-                return true;
-            };
-        };
-        t["andi"] = logic_imm(&Assembler::andi);
-        t["ori"] = logic_imm(&Assembler::ori);
-        t["xori"] = logic_imm(&Assembler::xori);
-
-        t["lui"] = [](LineAssembler &ctx, const Ops &ops,
-                      std::string &error) {
-            if (!expectKinds(ops, {kGpr, kImm}, error))
-                return false;
-            ctx.a().lui(ops[0].reg,
-                        static_cast<std::int32_t>(ops[1].imm));
-            return true;
-        };
-
-        auto muldiv = [](void (Assembler::*fn)(unsigned, unsigned)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kGpr, kGpr}, error))
-                    return false;
-                (ctx.a().*fn)(ops[0].reg, ops[1].reg);
-                return true;
-            };
-        };
-        t["dmult"] = muldiv(&Assembler::dmult);
-        t["dmultu"] = muldiv(&Assembler::dmultu);
-        t["ddiv"] = muldiv(&Assembler::ddiv);
-        t["ddivu"] = muldiv(&Assembler::ddivu);
-
-        auto hilo = [](void (Assembler::*fn)(unsigned)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kGpr}, error))
-                    return false;
-                (ctx.a().*fn)(ops[0].reg);
-                return true;
-            };
-        };
-        t["mfhi"] = hilo(&Assembler::mfhi);
-        t["mflo"] = hilo(&Assembler::mflo);
-
-        // --- branches / jumps ---
-        auto branch2 = [](void (Assembler::*fn)(unsigned, unsigned,
-                                                Assembler::Label)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kGpr, kGpr, kLabel}, error))
-                    return false;
-                (ctx.a().*fn)(ops[0].reg, ops[1].reg,
-                              ctx.labelFor(ops[2].label));
-                return true;
-            };
-        };
-        t["beq"] = branch2(&Assembler::beq);
-        t["bne"] = branch2(&Assembler::bne);
-
-        auto branch1 = [](void (Assembler::*fn)(unsigned,
-                                                Assembler::Label)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kGpr, kLabel}, error))
-                    return false;
-                (ctx.a().*fn)(ops[0].reg, ctx.labelFor(ops[1].label));
-                return true;
-            };
-        };
-        t["blez"] = branch1(&Assembler::blez);
-        t["bgtz"] = branch1(&Assembler::bgtz);
-        t["bltz"] = branch1(&Assembler::bltz);
-        t["bgez"] = branch1(&Assembler::bgez);
-
-        t["b"] = [](LineAssembler &ctx, const Ops &ops,
-                    std::string &error) {
-            if (!expectKinds(ops, {kLabel}, error))
-                return false;
-            ctx.a().b(ctx.labelFor(ops[0].label));
-            return true;
-        };
-        t["j"] = [](LineAssembler &ctx, const Ops &ops,
-                    std::string &error) {
-            if (!expectKinds(ops, {kLabel}, error))
-                return false;
-            ctx.a().j(ctx.labelFor(ops[0].label));
-            return true;
-        };
-        t["jal"] = [](LineAssembler &ctx, const Ops &ops,
-                      std::string &error) {
-            if (!expectKinds(ops, {kLabel}, error))
-                return false;
-            ctx.a().jal(ctx.labelFor(ops[0].label));
-            return true;
-        };
-        t["jr"] = [](LineAssembler &ctx, const Ops &ops,
-                     std::string &error) {
-            if (!expectKinds(ops, {kGpr}, error))
-                return false;
-            ctx.a().jr(ops[0].reg);
-            return true;
-        };
-        t["jalr"] = [](LineAssembler &ctx, const Ops &ops,
-                       std::string &error) {
-            if (ops.size() == 1 && ops[0].kind == kGpr) {
-                ctx.a().jalr(reg::ra, ops[0].reg);
-                return true;
-            }
-            if (!expectKinds(ops, {kGpr, kGpr}, error))
-                return false;
-            ctx.a().jalr(ops[0].reg, ops[1].reg);
-            return true;
-        };
-
-        t["syscall"] = [](LineAssembler &ctx, const Ops &ops,
-                          std::string &error) {
-            if (!expectKinds(ops, {}, error))
-                return false;
-            ctx.a().syscall();
-            return true;
-        };
-        t["break"] = [](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-            if (!expectKinds(ops, {}, error))
-                return false;
-            ctx.a().break_();
-            return true;
-        };
-        t["nop"] = [](LineAssembler &ctx, const Ops &ops,
-                      std::string &error) {
-            if (!expectKinds(ops, {}, error))
-                return false;
-            ctx.a().nop();
-            return true;
-        };
-
-        // --- legacy memory: op $rt, imm($rs) ---
-        auto mem = [](void (Assembler::*fn)(unsigned, unsigned,
-                                            std::int32_t)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kGpr, kMem}, error))
-                    return false;
-                const Operand &ref = ops[1];
-                if (ref.base_is_cap || ref.offset_is_reg) {
-                    error = "legacy memory operand must be imm($gpr)";
-                    return false;
-                }
-                (ctx.a().*fn)(ops[0].reg, ref.base_reg,
-                              static_cast<std::int32_t>(ref.imm));
-                return true;
-            };
-        };
-        t["lb"] = mem(&Assembler::lb);
-        t["lbu"] = mem(&Assembler::lbu);
-        t["lh"] = mem(&Assembler::lh);
-        t["lhu"] = mem(&Assembler::lhu);
-        t["lw"] = mem(&Assembler::lw);
-        t["lwu"] = mem(&Assembler::lwu);
-        t["ld"] = mem(&Assembler::ld);
-        t["sb"] = mem(&Assembler::sb);
-        t["sh"] = mem(&Assembler::sh);
-        t["sw"] = mem(&Assembler::sw);
-        t["sd"] = mem(&Assembler::sd);
-        t["lld"] = mem(&Assembler::lld);
-        t["scd"] = mem(&Assembler::scd);
-
-        // --- CHERI: inspection ---
-        auto cap_get = [](void (Assembler::*fn)(unsigned, unsigned)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kGpr, kCap}, error))
-                    return false;
-                (ctx.a().*fn)(ops[0].reg, ops[1].reg);
-                return true;
-            };
-        };
-        t["cgetbase"] = cap_get(&Assembler::cgetbase);
-        t["cgetlen"] = cap_get(&Assembler::cgetlen);
-        t["cgettag"] = cap_get(&Assembler::cgettag);
-        t["cgetperm"] = cap_get(&Assembler::cgetperm);
-        t["cgettype"] = cap_get(&Assembler::cgettype);
-        t["cgetpcc"] = [](LineAssembler &ctx, const Ops &ops,
-                          std::string &error) {
-            if (!expectKinds(ops, {kCap, kGpr}, error))
-                return false;
-            ctx.a().cgetpcc(ops[0].reg, ops[1].reg);
-            return true;
-        };
-
-        // --- CHERI: manipulation cd, cb, $rt ---
-        auto cap_manip = [](void (Assembler::*fn)(unsigned, unsigned,
-                                                  unsigned)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kCap, kCap, kGpr}, error))
-                    return false;
-                (ctx.a().*fn)(ops[0].reg, ops[1].reg, ops[2].reg);
-                return true;
-            };
-        };
-        t["cincbase"] = cap_manip(&Assembler::cincbase);
-        t["csetlen"] = cap_manip(&Assembler::csetlen);
-        t["candperm"] = cap_manip(&Assembler::candperm);
-        t["cfromptr"] = cap_manip(&Assembler::cfromptr);
-        t["ccleartag"] = [](LineAssembler &ctx, const Ops &ops,
-                            std::string &error) {
-            if (!expectKinds(ops, {kCap, kCap}, error))
-                return false;
-            ctx.a().ccleartag(ops[0].reg, ops[1].reg);
-            return true;
-        };
-        t["ctoptr"] = [](LineAssembler &ctx, const Ops &ops,
-                         std::string &error) {
-            if (!expectKinds(ops, {kGpr, kCap, kCap}, error))
-                return false;
-            ctx.a().ctoptr(ops[0].reg, ops[1].reg, ops[2].reg);
-            return true;
-        };
-
-        // --- CHERI: sealing ---
-        auto cap3 = [](void (Assembler::*fn)(unsigned, unsigned,
-                                             unsigned)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (!expectKinds(ops, {kCap, kCap, kCap}, error))
-                    return false;
-                (ctx.a().*fn)(ops[0].reg, ops[1].reg, ops[2].reg);
-                return true;
-            };
-        };
-        t["cseal"] = cap3(&Assembler::cseal);
-        t["cunseal"] = cap3(&Assembler::cunseal);
-        t["ccall"] = [](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-            if (!expectKinds(ops, {kCap, kCap}, error))
-                return false;
-            ctx.a().ccall(ops[0].reg, ops[1].reg);
-            return true;
-        };
-        t["creturn"] = [](LineAssembler &ctx, const Ops &ops,
-                          std::string &error) {
-            if (!expectKinds(ops, {}, error))
-                return false;
-            ctx.a().creturn();
-            return true;
-        };
-
-        // --- CHERI: tag branches ---
-        t["cbtu"] = [](LineAssembler &ctx, const Ops &ops,
-                       std::string &error) {
-            if (!expectKinds(ops, {kCap, kLabel}, error))
-                return false;
-            ctx.a().cbtu(ops[0].reg, ctx.labelFor(ops[1].label));
-            return true;
-        };
-        t["cbts"] = [](LineAssembler &ctx, const Ops &ops,
-                       std::string &error) {
-            if (!expectKinds(ops, {kCap, kLabel}, error))
-                return false;
-            ctx.a().cbts(ops[0].reg, ctx.labelFor(ops[1].label));
-            return true;
-        };
-
-        // --- CHERI: memory — op $r, $index, imm($cap) form ---
-        auto cap_mem = [](void (Assembler::*fn)(unsigned, unsigned,
-                                                unsigned,
-                                                std::int32_t)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                // rd, rt, imm(cb)  or  rd, imm(cb) with rt = zero.
-                if (ops.size() == 2 && ops[1].kind == kMem) {
-                    const Operand &ref = ops[1];
-                    if (!ref.base_is_cap || ref.offset_is_reg) {
-                        error = "capability memory operand must be "
-                                "imm($cN)";
-                        return false;
-                    }
-                    unsigned data = ops[0].reg;
-                    (ctx.a().*fn)(data, ref.base_reg, reg::zero,
-                                  static_cast<std::int32_t>(ref.imm));
-                    return true;
-                }
-                if (ops.size() != 3 || ops[1].kind != kGpr ||
-                    ops[2].kind != kMem) {
-                    error = "expected $r, $index, imm($cN)";
-                    return false;
-                }
-                const Operand &ref = ops[2];
-                if (!ref.base_is_cap || ref.offset_is_reg) {
-                    error = "capability memory operand must be imm($cN)";
-                    return false;
-                }
-                (ctx.a().*fn)(ops[0].reg, ref.base_reg, ops[1].reg,
-                              static_cast<std::int32_t>(ref.imm));
-                return true;
-            };
-        };
-        t["clb"] = cap_mem(&Assembler::clb);
-        t["clbu"] = cap_mem(&Assembler::clbu);
-        t["clh"] = cap_mem(&Assembler::clh);
-        t["clhu"] = cap_mem(&Assembler::clhu);
-        t["clw"] = cap_mem(&Assembler::clw);
-        t["clwu"] = cap_mem(&Assembler::clwu);
-        t["cld"] = cap_mem(&Assembler::cld);
-        t["csb"] = cap_mem(&Assembler::csb);
-        t["csh"] = cap_mem(&Assembler::csh);
-        t["csw"] = cap_mem(&Assembler::csw);
-        t["csd"] = cap_mem(&Assembler::csd);
-        t["clc"] = cap_mem(&Assembler::clc);
-        t["csc"] = cap_mem(&Assembler::csc);
-
-        // clld/cscd: $rd, $rt($cN)
-        auto cap_llsc = [](void (Assembler::*fn)(unsigned, unsigned,
-                                                 unsigned)) {
-            return [fn](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-                if (ops.size() != 2 || ops[0].kind != kGpr ||
-                    ops[1].kind != kMem) {
-                    error = "expected $r, $index($cN)";
-                    return false;
-                }
-                const Operand &ref = ops[1];
-                if (!ref.base_is_cap || !ref.offset_is_reg) {
-                    error = "expected $r, $index($cN)";
-                    return false;
-                }
-                (ctx.a().*fn)(ops[0].reg, ref.base_reg, ref.offset_reg);
-                return true;
-            };
-        };
-        t["clld"] = cap_llsc(&Assembler::clld);
-        t["cscd"] = cap_llsc(&Assembler::cscd);
-
-        // cjr $rt($cN) / cjalr $cd, $rt($cN)
-        t["cjr"] = [](LineAssembler &ctx, const Ops &ops,
-                      std::string &error) {
-            if (ops.size() != 1 || ops[0].kind != kMem ||
-                !ops[0].base_is_cap || !ops[0].offset_is_reg) {
-                error = "expected $index($cN)";
-                return false;
-            }
-            ctx.a().cjr(ops[0].base_reg, ops[0].offset_reg);
-            return true;
-        };
-        t["cjalr"] = [](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-            if (ops.size() != 2 || ops[0].kind != kCap ||
-                ops[1].kind != kMem || !ops[1].base_is_cap ||
-                !ops[1].offset_is_reg) {
-                error = "expected $cd, $index($cN)";
-                return false;
-            }
-            ctx.a().cjalr(ops[0].reg, ops[1].base_reg,
-                          ops[1].offset_reg);
-            return true;
-        };
-
-        // --- pseudo-ops ---
-        t["move"] = [](LineAssembler &ctx, const Ops &ops,
-                       std::string &error) {
-            if (!expectKinds(ops, {kGpr, kGpr}, error))
-                return false;
-            ctx.a().move(ops[0].reg, ops[1].reg);
-            return true;
-        };
-        t["li"] = [](LineAssembler &ctx, const Ops &ops,
-                     std::string &error) {
-            if (!expectKinds(ops, {kGpr, kImm}, error))
-                return false;
-            if (ops[1].imm < INT32_MIN || ops[1].imm > INT32_MAX) {
-                error = "constant does not fit li; use li64";
-                return false;
-            }
-            ctx.a().li(ops[0].reg,
-                       static_cast<std::int32_t>(ops[1].imm));
-            return true;
-        };
-        t["li64"] = [](LineAssembler &ctx, const Ops &ops,
-                       std::string &error) {
-            if (!expectKinds(ops, {kGpr, kImm}, error))
-                return false;
-            ctx.a().li64(ops[0].reg,
-                         static_cast<std::uint64_t>(ops[1].imm));
-            return true;
-        };
-        t[".word"] = [](LineAssembler &ctx, const Ops &ops,
-                        std::string &error) {
-            if (!expectKinds(ops, {kImm}, error))
-                return false;
-            ctx.a().emit(static_cast<std::uint32_t>(ops[0].imm));
-            return true;
-        };
-        return t;
-    }();
+    static const std::map<std::string, Emitter> table = {
+        {"nop",
+         [](LineAssembler &ctx, const Ops &ops, std::string &error) {
+             if (!expectKinds(ops, {}, error))
+                 return false;
+             ctx.a().nop();
+             return true;
+         }},
+        {"b",
+         [](LineAssembler &ctx, const Ops &ops, std::string &error) {
+             if (!expectKinds(ops, {kLabel}, error))
+                 return false;
+             ctx.a().b(ctx.labelFor(ops[0].label));
+             return true;
+         }},
+        {"move",
+         [](LineAssembler &ctx, const Ops &ops, std::string &error) {
+             if (!expectKinds(ops, {kGpr, kGpr}, error))
+                 return false;
+             ctx.a().move(ops[0].reg, ops[1].reg);
+             return true;
+         }},
+        {"li",
+         [](LineAssembler &ctx, const Ops &ops, std::string &error) {
+             if (!expectKinds(ops, {kGpr, kImm}, error))
+                 return false;
+             if (ops[1].imm < INT32_MIN || ops[1].imm > INT32_MAX) {
+                 error = "constant does not fit li; use li64";
+                 return false;
+             }
+             ctx.a().li(ops[0].reg, static_cast<std::int32_t>(ops[1].imm));
+             return true;
+         }},
+        {"li64",
+         [](LineAssembler &ctx, const Ops &ops, std::string &error) {
+             if (!expectKinds(ops, {kGpr, kImm}, error))
+                 return false;
+             ctx.a().li64(ops[0].reg,
+                          static_cast<std::uint64_t>(ops[1].imm));
+             return true;
+         }},
+        {".word",
+         [](LineAssembler &ctx, const Ops &ops, std::string &error) {
+             if (!expectKinds(ops, {kImm}, error))
+                 return false;
+             ctx.a().emit(static_cast<std::uint32_t>(ops[0].imm));
+             return true;
+         }},
+    };
     return table;
+}
+
+/** The operand kind a syntax operand ("t", "i(s)", ...) is written as. */
+Operand::Kind
+kindOf(std::string_view spec)
+{
+    if (spec.size() > 1)
+        return kMem;
+    switch (spec[0]) {
+      case 'd': case 's': case 't': return kGpr;
+      case 'D': case 'B': case 'T': return kCap;
+      case 'p': case 'a': return kLabel;
+      default: return kImm;
+    }
+}
+
+/** How a diagnostic spells a register-indexed syntax: "$r, $index($cN)". */
+std::string
+spelled(std::string_view syntax)
+{
+    std::string text;
+    for (char c : syntax) {
+        switch (c) {
+          case ',': text += ", "; break;
+          case 'd': text += "$r"; break;
+          case 'D': text += "$cd"; break;
+          case 't': text += "$index"; break;
+          case 'B': text += "$cN"; break;
+          default: text += c; break;
+        }
+    }
+    return text;
+}
+
+/**
+ * Check ops against row's syntax and emit the instruction. A memory
+ * operand x(y) is always the syntax's last operand; the three memory
+ * families (legacy imm($gpr), capability imm($cN), register-indexed
+ * $index($cN)) each keep their own diagnostics.
+ */
+bool
+assembleOp(LineAssembler &ctx, const OpInfo &row, Ops ops,
+           std::string &error)
+{
+    std::string_view syntax = row.syntax;
+    std::vector<Operand::Kind> kinds;
+    for (std::size_t start = 0; start < syntax.size();) {
+        std::size_t comma = std::min(syntax.find(',', start), syntax.size());
+        kinds.push_back(kindOf(syntax.substr(start, comma - start)));
+        start = comma + 1;
+    }
+    std::size_t open = syntax.find('(');
+    bool cap_imm = open != std::string_view::npos &&
+                   syntax.substr(open - 1, 3) == "i(B";
+
+    // Shorthands: "jalr $rs" links through $ra, and a capability
+    // access may leave out a zero index ("cld $t0, 8($c1)").
+    Operand implied;
+    implied.kind = kGpr;
+    if (row.op == Opcode::kJalr && ops.size() == 1 && ops[0].kind == kGpr) {
+        implied.reg = reg::ra;
+        ops.insert(ops.begin(), implied);
+    } else if (cap_imm && ops.size() == 2 && ops[1].kind == kMem) {
+        ops.insert(ops.begin() + 1, implied);
+    }
+
+    if (open == std::string_view::npos) {
+        if (!expectKinds(ops, kinds, error))
+            return false;
+    } else if (syntax[open - 1] == 't') {
+        bool fits = ops.size() == kinds.size() &&
+                    ops.back().base_is_cap && ops.back().offset_is_reg;
+        for (std::size_t k = 0; fits && k < kinds.size(); ++k)
+            fits = ops[k].kind == kinds[k];
+        if (!fits) {
+            error = "expected " + spelled(syntax);
+            return false;
+        }
+    } else if (cap_imm) {
+        // The data operand's register file is not checked, so every
+        // line this family has accepted still assembles.
+        if (ops.size() != 3 || ops[1].kind != kGpr || ops[2].kind != kMem) {
+            error = "expected $r, $index, imm($cN)";
+            return false;
+        }
+        if (!ops[2].base_is_cap || ops[2].offset_is_reg) {
+            error = "capability memory operand must be imm($cN)";
+            return false;
+        }
+    } else {
+        if (!expectKinds(ops, kinds, error))
+            return false;
+        if (ops.back().base_is_cap || ops.back().offset_is_reg) {
+            error = "legacy memory operand must be imm($gpr)";
+            return false;
+        }
+    }
+
+    Operands values{};
+    std::size_t next = 0;
+    const std::string *label = nullptr;
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+        const Operand &op = ops[k];
+        switch (kinds[k]) {
+          case kMem:
+            values[next++] = op.offset_is_reg ? op.offset_reg : op.imm;
+            values[next++] = op.base_reg;
+            break;
+          case kImm: values[next++] = op.imm; break;
+          case kLabel:
+            label = &op.label;
+            ++next;
+            break;
+          default: values[next++] = op.reg; break;
+        }
+    }
+    error = operandError(row.op, values);
+    if (!error.empty())
+        return false;
+    if (label != nullptr)
+        ctx.a().emit(row.op, values, ctx.labelFor(*label));
+    else
+        ctx.a().emit(row.op, values);
+    return true;
+}
+
+/** The table row spelled mnemonic, or nullptr. */
+const OpInfo *
+findOp(const std::string &mnemonic)
+{
+    for (const OpInfo &row : kOps) {
+        if (row.op != Opcode::kInvalid && mnemonic == row.name)
+            return &row;
+    }
+    return nullptr;
 }
 
 } // namespace
@@ -848,16 +545,19 @@ assembleText(const std::string &source, std::uint64_t base_addr)
         if (!parse_ok)
             continue;
 
-        auto it = emitters().find(mnemonic);
-        if (it == emitters().end()) {
+        std::string error;
+        auto pseudo = pseudoOps().find(mnemonic);
+        const OpInfo *row = findOp(mnemonic);
+        if (pseudo != pseudoOps().end()) {
+            if (!pseudo->second(ctx, ops, error))
+                result.errors.push_back({line_number, error});
+        } else if (row == nullptr) {
             result.errors.push_back(
                 {line_number, support::format("unknown mnemonic '%s'",
                                               mnemonic.c_str())});
-            continue;
-        }
-        std::string error;
-        if (!it->second(ctx, ops, error))
+        } else if (!assembleOp(ctx, *row, ops, error)) {
             result.errors.push_back({line_number, error});
+        }
     }
 
     // Unbound labels referenced by branches would panic in finish();

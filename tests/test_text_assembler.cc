@@ -195,6 +195,22 @@ TEST(TextAsm, ErrorBadOperands)
     EXPECT_FALSE(assemble("cld $t0, 8($t1)\n").ok()); // gpr base on cld
     EXPECT_FALSE(assemble("daddu $t0, $t1, $c1\n").ok());
     EXPECT_FALSE(assemble("li $t0, 0x123456789\n").ok()); // needs li64
+    // An immediate outside its field is a line error, not an abort.
+    EXPECT_FALSE(assemble("addiu $t0, $t0, 40000\n").ok());
+    EXPECT_FALSE(assemble("ori $t0, $t0, 0x10000\n").ok());
+    EXPECT_FALSE(assemble("clc $c1, $t0, 16($c2)\n").ok()); // x32
+    EXPECT_FALSE(assemble("cld $t0, $t1, 3($c1)\n").ok());  // x8
+    AsmResult result = assemble("nop\naddiu $t0, $t0, 40000\n");
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.errors[0].line, 2u);
+    EXPECT_EQ(result.errors[0].message,
+              "immediate 40000 out of range (-32768..32767)");
+    // lui takes the unsigned halfword the disassembler prints, and
+    // still takes a negative one.
+    result = assemble("lui $t0, 0x8000\nlui $t0, -1\n");
+    ASSERT_TRUE(result.ok()) << result.errors[0].message;
+    EXPECT_EQ(disassemble(decode(result.words[0])), "lui t0, 0x8000");
+    EXPECT_EQ(disassemble(decode(result.words[1])), "lui t0, 0xffff");
 }
 
 TEST(TextAsm, ErrorUndefinedLabel)
