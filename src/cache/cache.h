@@ -95,6 +95,8 @@ struct DramTiming
     std::uint64_t row_hit_latency = 3;
     /** Row size in bytes. */
     std::uint64_t row_bytes = 2048;
+
+    bool operator==(const DramTiming &) const = default;
 };
 
 /** DRAM endpoint: TagManager access behind an open-row timing model. */
@@ -139,6 +141,8 @@ struct CacheConfig
     std::uint64_t size_bytes = 16 * 1024;
     unsigned ways = 4;
     std::uint64_t hit_latency = 1;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /**

@@ -63,6 +63,8 @@ struct HierarchyConfig
     DramTiming dram;
     /** Prefetcher selection (default: off). */
     PrefetchConfig prefetch;
+
+    bool operator==(const HierarchyConfig &) const = default;
 };
 
 /**

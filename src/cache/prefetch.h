@@ -53,6 +53,8 @@ struct PrefetchConfig
     PrefetchPolicy policy = PrefetchPolicy::kNone;
     /** Max prefetch fills issued per demand-fill trigger. */
     unsigned degree = 2;
+
+    bool operator==(const PrefetchConfig &) const = default;
 };
 
 /**

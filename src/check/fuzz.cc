@@ -745,6 +745,11 @@ fuzzMachineConfig()
 {
     core::MachineConfig config;
     config.dram_bytes = 4 * 1024 * 1024;
+    // 128 lines and 128 entries cover 4 KB of code, four times the
+    // largest program generateSpec emits; the default 1,024 of each
+    // cost more to build and free than a seed spends running.
+    config.accel.decode_cache_lines = 128;
+    config.accel.superblock_entries = 128;
     return config;
 }
 

@@ -116,7 +116,9 @@ struct FuzzRunResult
     std::string divergence;
 };
 
-/** The MachineConfig every fuzz pass runs under (4 MB DRAM). */
+/** The MachineConfig every fuzz pass runs under: 4 MB DRAM, and a
+ *  128-line predecode cache and 128-entry superblock cache sized to
+ *  fuzz programs (DESIGN.md §8). */
 core::MachineConfig fuzzMachineConfig();
 
 /** How one program runs under the oracle. */

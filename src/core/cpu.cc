@@ -73,9 +73,14 @@ Cpu::Cpu(cache::CacheHierarchy &memory, tlb::Tlb &tlb, CpuTiming timing,
          CpuAccelConfig accel)
     : memory_(memory), tlb_(tlb), timing_(timing),
       predictor_(timing.predictor_entries, 1), // weakly not-taken
-      accel_(accel), decode_cache_(accel.decode_cache_lines),
-      data_memo_(kDataMemoLines),
-      superblock_cache_(accel.superblock_entries)
+      accel_(accel),
+      // Each tier allocates only the accelerators it runs; every use
+      // of an array sits behind its tier's check or loops over it.
+      decode_cache_(fastPaths() ? accel.decode_cache_lines : 0),
+      data_memo_(fastPaths() ? kDataMemoLines : 0),
+      superblock_cache_(accel.tier == HostTier::kSuperblock
+                            ? accel.superblock_entries
+                            : 0)
 {
     requirePow2(accel.decode_cache_lines, "decode_cache_lines");
     requirePow2(accel.superblock_entries, "superblock_entries");
@@ -85,7 +90,10 @@ Cpu::Cpu(cache::CacheHierarchy &memory, tlb::Tlb &tlb, CpuTiming timing,
                        accel.superblock_max_slots);
     decode_index_mask_ = accel.decode_cache_lines - 1;
     superblock_index_mask_ = accel.superblock_entries - 1;
-    memory_.setFetchListener(this);
+    // The listener only clears predecode lines and aborts a
+    // dispatching superblock, so the reference tier needs none.
+    if (fastPaths())
+        memory_.setFetchListener(this);
     sb_hit_stall_ = memory_.fetchHitLatency() > 0
                         ? memory_.fetchHitLatency() - 1
                         : 0;

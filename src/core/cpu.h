@@ -46,13 +46,16 @@ struct CpuTiming
     std::uint64_t branch_mispredict_cycles = 3;
     /** Bimodal predictor table entries (power of two). */
     std::uint64_t predictor_entries = 512;
+
+    bool operator==(const CpuTiming &) const = default;
 };
 
 /**
  * The CPU's host acceleration tier, slowest first. Each tier adds
- * host-side accelerators to the one below it; no tier changes
- * simulated timing, counters or architectural behaviour (DESIGN.md
- * §7), so the choice only moves host throughput.
+ * host-side accelerators to the one below it, and a Cpu allocates
+ * only those of its own tier; no tier changes simulated timing,
+ * counters or architectural behaviour (DESIGN.md §7), so the choice
+ * only moves host throughput.
  */
 enum class HostTier
 {
@@ -79,19 +82,22 @@ const char *hostTierName(HostTier tier);
  * never simulated timing or counters — so tests shrink the geometry
  * to force eviction/aliasing without perturbing the modeled machine.
  * All fixed at construction (a fork inherits them with the rest of
- * the MachineConfig). All sizes must be powers of two.
+ * the MachineConfig). All sizes must be powers of two, at every tier.
  */
 struct CpuAccelConfig
 {
     HostTier tier = HostTier::kSuperblock;
-    /** Direct-mapped predecode-cache lines. The default covers 32 KB
-     *  of code, twice the modeled L1I, so it is never the
-     *  bottleneck. */
+    /** Direct-mapped predecode-cache lines, allocated above
+     *  kReference. The default covers 32 KB of code, twice the
+     *  modeled L1I, so it is never the bottleneck. */
     std::size_t decode_cache_lines = 1024;
-    /** Direct-mapped superblock-cache entries (keyed by start pc). */
+    /** Direct-mapped superblock-cache entries (keyed by start pc),
+     *  allocated at kSuperblock. */
     std::size_t superblock_entries = 1024;
     /** Maximum instructions chained into one superblock. */
     std::size_t superblock_max_slots = 64;
+
+    bool operator==(const CpuAccelConfig &) const = default;
 };
 
 /**
@@ -189,7 +195,8 @@ struct SyscallAction
  * bit-identical at every HostTier — only host throughput changes.
  * Stores into cached lines invalidate the stale decodes via the
  * hierarchy's FetchInvalidationListener hook, so self-modifying code
- * decodes fresh bytes at every tier.
+ * decodes fresh bytes at every tier. A kReference core keeps no
+ * decodes and so registers no listener.
  *
  * The data fast path mirrors that design for loads and stores: a
  * direct-mapped memo keyed by virtual line fuses the TLB translation

@@ -44,6 +44,11 @@ Machine::fork() const
 void
 Machine::restoreFrom(const Machine &checkpoint)
 {
+    // Each layer copies state sized by its own config, so a mismatch
+    // would leave, say, a 256-entry TLB holding 400 translations.
+    if (config_ != checkpoint.config_)
+        support::panic("Machine::restoreFrom: the checkpoint was built "
+                       "from a different MachineConfig");
     store_->adopt(*checkpoint.store_);
     copyStateFrom(checkpoint);
 }

@@ -34,6 +34,8 @@ struct MachineConfig
     tlb::TlbConfig tlb;
     CpuTiming timing;
     CpuAccelConfig accel;
+
+    bool operator==(const MachineConfig &) const = default;
 };
 
 /** A complete emulated CHERI system. */
@@ -157,8 +159,9 @@ class Machine
      * checkpoint would. Both sides stay isolated: a later write on
      * either clones the page first. This machine keeps its own host
      * hooks. checkpoint must be another machine with an identical
-     * MachineConfig and must not run concurrently; several machines
-     * may restore from one quiescent checkpoint at once.
+     * MachineConfig (anything else panics) and must not run
+     * concurrently; several machines may restore from one quiescent
+     * checkpoint at once.
      */
     void restoreFrom(const Machine &checkpoint);
 

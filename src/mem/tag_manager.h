@@ -26,6 +26,8 @@ struct TagCacheConfig
 {
     /** Total tag-cache capacity in bytes of tag-table data (8 KB). */
     std::uint64_t capacity_bytes = 8 * 1024;
+
+    bool operator==(const TagCacheConfig &) const = default;
 };
 
 /** Tag-table bytes cached per tag-cache entry (one table line). */

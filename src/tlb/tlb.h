@@ -68,6 +68,8 @@ struct TlbConfig
     unsigned entries = 256;
     /** Modeled refill penalty on a miss that hits the page table. */
     std::uint64_t refill_cycles = 30;
+
+    bool operator==(const TlbConfig &) const = default;
 };
 
 /**

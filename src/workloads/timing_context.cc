@@ -10,8 +10,10 @@ namespace cheri::workloads
 
 TimingContext::TimingContext(CompileModel model,
                              core::MachineConfig config)
-    : Context(model), machine_(std::make_unique<core::Machine>(config))
+    : Context(model)
 {
+    config.accel.tier = core::HostTier::kReference;
+    machine_ = std::make_unique<core::Machine>(config);
 }
 
 PhaseCosts

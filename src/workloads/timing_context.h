@@ -30,6 +30,10 @@ struct PhaseCosts
 class TimingContext : public Context
 {
   public:
+    /** The machine is built from config at HostTier::kReference,
+     *  whatever config.accel.tier says: accesses go straight to the
+     *  TLB and the hierarchy, and the Cpu never runs, so it needs no
+     *  host accelerator. */
     explicit TimingContext(CompileModel model,
                            core::MachineConfig config = {});
 

@@ -12,7 +12,8 @@
  * (fork-of-fork sees ancestor writes made before its mint, never
  * after), the COW accounting (CowStore::cowFaults / sharedPages) must
  * tick exactly on first writes, the shared zero page must never be
- * written in place, and a fork must run at its parent's host tier.
+ * written in place, a fork must run at its parent's host tier, and a
+ * rollback to a checkpoint of another MachineConfig must panic.
  */
 
 #include <algorithm>
@@ -213,6 +214,28 @@ TEST(MachineFork, ForkAndRestoreKeepUntouchedSlotsOnTheZeroPage)
     restored.restoreFrom(*checkpoint);
     EXPECT_TRUE(restored.cowStore().isZeroPage(untouched));
     EXPECT_FALSE(restored.cowStore().isZeroPage(written));
+}
+
+/**
+ * Every layer copies state sized by its own config, so a checkpoint
+ * built from a different MachineConfig must panic rather than leave a
+ * small TLB over-full, a predictor resized or a small tag cache with
+ * an over-full LRU.
+ */
+TEST(MachineFork, RestoreFromRejectsADifferentConfig)
+{
+    core::Machine checkpoint(smallConfig());
+    core::MachineConfig tlb = smallConfig();
+    tlb.tlb.entries /= 2;
+    core::MachineConfig predictor = smallConfig();
+    predictor.timing.predictor_entries /= 2;
+    core::MachineConfig tag_cache = smallConfig();
+    tag_cache.tag_cache.capacity_bytes /= 2;
+    for (const core::MachineConfig &config : {tlb, predictor, tag_cache}) {
+        core::Machine machine(config);
+        EXPECT_DEATH(machine.restoreFrom(checkpoint),
+                     "different MachineConfig");
+    }
 }
 
 /**

@@ -5,9 +5,11 @@
  * divergences, plus hand-written guards) is assembled at the fuzzer's
  * code base and run under the lockstep oracle at the superblock and
  * reference host tiers. All corpus entries must complete
- * divergence-free.
+ * divergence-free. Generated programs must fit the fuzz machine's
+ * predecode cache.
  */
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,6 +19,7 @@
 
 #include "check/fuzz.h"
 #include "isa/text_assembler.h"
+#include "mem/cow_store.h"
 
 #ifndef CHERI_FUZZ_CORPUS_DIR
 #error "CHERI_FUZZ_CORPUS_DIR must point at tests/fuzz_corpus"
@@ -66,6 +69,24 @@ TEST(FuzzRegression, AllCorpusEntriesRunClean)
             check::runFuzzWords(assembled.words);
         EXPECT_FALSE(result.diverged) << result.divergence;
     }
+}
+
+TEST(FuzzRegression, GeneratedProgramsFitThePredecodeCache)
+{
+    // fuzzMachineConfig() sizes the predecode cache to the programs
+    // the generator emits. A bigger program would still run correctly,
+    // only slower, so this pins the reason for the constant.
+    const std::uint64_t cache_bytes =
+        check::fuzzMachineConfig().accel.decode_cache_lines *
+        mem::kLineBytes;
+    std::size_t largest = 0;
+    for (std::uint64_t seed = 1; seed <= 20000; ++seed) {
+        largest = std::max(
+            largest,
+            check::assembleFuzzProgram(check::generateSpec(seed)).size());
+    }
+    EXPECT_LE(largest * 4, cache_bytes)
+        << "largest program: " << largest << " words";
 }
 
 TEST(FuzzRegression, FixedSeedsRunClean)

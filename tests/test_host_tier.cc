@@ -17,6 +17,8 @@
  *    run without a prefetcher, LockstepPrefetch with each one. In
  *    their instance names, `fast` is a tier above the reference, `sb`
  *    the superblock tier and `slow` the reference tier.
+ *  - Geometry (HostTierGeometry): the accelerator sizes must be powers
+ *    of two at every tier, also where their arrays are not built.
  */
 
 #include <memory>
@@ -231,5 +233,23 @@ INSTANTIATE_TEST_SUITE_P(
                (std::get<2>(info.param) ? "_sb" : "_nosb") + "_" +
                std::get<3>(info.param);
     });
+
+/** A tier builds only its own accelerator arrays, but the geometry of
+ *  all of them is checked at every tier, so a config that builds at
+ *  one tier builds at all. */
+TEST(HostTierGeometry, PowersOfTwoAtEveryTier)
+{
+    for (HostTier tier : kTiers) {
+        SCOPED_TRACE(core::hostTierName(tier));
+        core::MachineConfig lines;
+        lines.accel.tier = tier;
+        lines.accel.decode_cache_lines = 96;
+        EXPECT_DEATH(core::Machine{lines}, "decode_cache_lines");
+        core::MachineConfig entries;
+        entries.accel.tier = tier;
+        entries.accel.superblock_entries = 96;
+        EXPECT_DEATH(core::Machine{entries}, "superblock_entries");
+    }
+}
 
 } // namespace
