@@ -33,6 +33,39 @@ requirePow2(std::size_t value, const char *name)
                        name, value);
 }
 
+/** What CpuExec::access<op> knows about op: its kOps row, at compile
+ *  time. */
+template <Opcode kOp>
+struct MemOp
+{
+    static constexpr isa::OpInfo kRow = isa::opInfo(kOp);
+    static_assert(kRow.size_log2 >= 0, "not a data-memory opcode");
+
+    /** Through cb with rt + imm; else through C0 with rs + imm. */
+    static constexpr bool kViaCap = kRow.flags & isa::kCapMemory;
+    static constexpr bool kStore = kRow.flags & isa::kStore;
+    static constexpr unsigned kSize = 1u << kRow.size_log2;
+    /** CLC/CSC: a whole tagged line moves to or from cd. */
+    static constexpr bool kLine = kSize == mem::kLineBytes;
+    static constexpr bool kLinked =
+        kOp == Opcode::kLld || kOp == Opcode::kScd ||
+        kOp == Opcode::kClld || kOp == Opcode::kCscd;
+    static constexpr bool kSignExtend =
+        !(kRow.flags & isa::kZeroExtend) && kSize < 8;
+    static constexpr std::uint32_t kPerm =
+        kLine ? (kStore ? cap::kPermStoreCap : cap::kPermLoadCap)
+              : (kStore ? cap::kPermStore : cap::kPermLoad);
+    static constexpr tlb::Access kAccess =
+        kLine ? (kStore ? tlb::Access::kCapStore : tlb::Access::kCapLoad)
+              : (kStore ? tlb::Access::kStore : tlb::Access::kLoad);
+
+    /** The register a scalar access loads, stores, or SC reports in. */
+    static std::uint8_t data(const Instruction &i)
+    {
+        return kViaCap ? i.rd : i.rt;
+    }
+};
+
 } // namespace
 
 const char *
@@ -162,91 +195,44 @@ Cpu::onCodeLineModified(std::uint64_t line_paddr)
 
 // --- data fast path ---
 //
-// Each tryFast helper validates host-side state with no simulated
-// effects, and only once everything is proven fresh replays the exact
-// effect sequence the slow path would produce for the same (known
-// hitting) access: one TLB hit (stat bump + LRU move via replayHit)
-// and one L1D access through the hierarchy's handle-validated entry
-// points. The cycle formula is the slow path's verbatim: TLB hit
+// The memo stands in for the TLB and hierarchy walks of a checked,
+// aligned access (CpuExec::access). This probe validates host-side
+// state with no simulated effects; the caller then moves the data
+// through the hierarchy's handle-validated L1D entry points, and only
+// once that hit is proven replays the TLB hit (stat bump + LRU move via
+// replayHit). The cycle formula is the slow path's verbatim: TLB hit
 // penalty is zero, and of the mem_cycles only the stall beyond the
 // one-cycle base CPI is charged.
 
-CHERI_FORCE_INLINE bool
-Cpu::tryFastRead(std::uint64_t vaddr, unsigned size, std::uint64_t &value)
+template <tlb::Access kAccess>
+CHERI_FORCE_INLINE const Cpu::DataMemoEntry *
+Cpu::probeDataMemo(std::uint64_t vaddr) const
 {
     std::uint64_t vline = vaddr >> cache::kLineShift;
-    DataMemoEntry &entry = data_memo_[dataMemoIndex(vline)];
+    const DataMemoEntry &entry = data_memo_[dataMemoIndex(vline)];
     if (entry.vline != vline ||
-        entry.hint.generation != tlb_.generation() ||
-        !entry.hint.flags.readable)
-        return false;
-    std::uint64_t paddr =
-        entry.paddr_line | (vaddr & (mem::kLineBytes - 1));
-    std::uint64_t mem_cycles = 0;
-    if (!memory_.readFast(entry.l1d, paddr, size, value, mem_cycles))
-        return false;
-    tlb_.replayHit(entry.hint);
-    cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-    return true;
-}
-
-CHERI_FORCE_INLINE bool
-Cpu::tryFastWrite(std::uint64_t vaddr, unsigned size, std::uint64_t value)
-{
-    std::uint64_t vline = vaddr >> cache::kLineShift;
-    DataMemoEntry &entry = data_memo_[dataMemoIndex(vline)];
-    if (entry.vline != vline ||
-        entry.hint.generation != tlb_.generation() ||
-        !entry.hint.flags.writable)
-        return false;
-    std::uint64_t paddr =
-        entry.paddr_line | (vaddr & (mem::kLineBytes - 1));
-    std::uint64_t mem_cycles = 0;
-    if (!memory_.writeFast(entry.l1d, paddr, size, value, mem_cycles))
-        return false;
-    tlb_.replayHit(entry.hint);
-    cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-    // Any store to the monitored line breaks the reservation.
-    if (ll_valid_ && ll_addr_ == paddr)
-        ll_valid_ = false;
-    return true;
-}
-
-const mem::TaggedLine *
-Cpu::tryFastCapRead(std::uint64_t vaddr)
-{
-    std::uint64_t vline = vaddr >> cache::kLineShift;
-    DataMemoEntry &entry = data_memo_[dataMemoIndex(vline)];
-    if (entry.vline != vline ||
-        entry.hint.generation != tlb_.generation() ||
-        !entry.hint.flags.readable || !entry.hint.flags.cap_load)
+        entry.hint.generation != tlb_.generation())
         return nullptr;
-    std::uint64_t mem_cycles = 0;
-    const mem::TaggedLine *line =
-        memory_.readCapLineFast(entry.l1d, mem_cycles);
-    if (line == nullptr)
-        return nullptr;
-    tlb_.replayHit(entry.hint);
-    cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-    return line;
-}
-
-bool
-Cpu::tryFastCapWrite(std::uint64_t vaddr, const mem::TaggedLine &line)
-{
-    std::uint64_t vline = vaddr >> cache::kLineShift;
-    DataMemoEntry &entry = data_memo_[dataMemoIndex(vline)];
-    if (entry.vline != vline ||
-        entry.hint.generation != tlb_.generation() ||
-        !entry.hint.flags.writable || !entry.hint.flags.cap_store)
-        return false;
-    std::uint64_t mem_cycles = 0;
-    if (!memory_.writeCapLineFast(entry.l1d, entry.paddr_line, line,
-                                  mem_cycles))
-        return false;
-    tlb_.replayHit(entry.hint);
-    cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-    return true;
+    // The PTE bits Tlb::translate would check for this access.
+    const tlb::PteFlags &pte = entry.hint.flags;
+    bool granted = false;
+    switch (kAccess) {
+      case tlb::Access::kLoad:
+        granted = pte.readable;
+        break;
+      case tlb::Access::kStore:
+        granted = pte.writable;
+        break;
+      case tlb::Access::kCapLoad:
+        granted = pte.readable && pte.cap_load;
+        break;
+      case tlb::Access::kCapStore:
+        granted = pte.writable && pte.cap_store;
+        break;
+      case tlb::Access::kFetch:
+        break;
+    }
+    return granted ? &entry : nullptr;
 }
 
 void
@@ -325,66 +311,38 @@ Cpu::branchTo(std::uint64_t target)
 }
 
 bool
-Cpu::checkedDataAccess(unsigned cap_index, std::uint64_t offset,
-                       unsigned size, bool is_store, bool is_cap,
-                       std::uint64_t &paddr_out)
+Cpu::translateData(std::uint64_t vaddr, tlb::Access access,
+                   unsigned cap_index, std::uint64_t &paddr_out)
 {
-    const cap::Capability &capr = caps_.read(cap_index);
-    std::uint32_t perm;
-    if (is_cap)
-        perm = is_store ? cap::kPermStoreCap : cap::kPermLoadCap;
-    else
-        perm = is_store ? cap::kPermStore : cap::kPermLoad;
-
-    std::uint64_t vaddr = cap::effectiveAddress(capr, offset);
-    CapCause cause =
-        cap::checkDataAccess(capr, offset, size, perm, is_cap);
-    if (cause != CapCause::kNone) {
-        raiseCap(cause, static_cast<std::uint8_t>(cap_index), vaddr);
-        return false;
-    }
-
-    if (!is_cap && vaddr % size != 0) {
-        raise(is_store ? ExcCode::kAddressErrorStore
-                       : ExcCode::kAddressErrorLoad,
-              vaddr);
-        return false;
-    }
-
-    tlb::Access access;
-    if (is_cap)
-        access = is_store ? tlb::Access::kCapStore : tlb::Access::kCapLoad;
-    else
-        access = is_store ? tlb::Access::kStore : tlb::Access::kLoad;
-
     tlb::TlbResult result = tlb_.translate(vaddr, access);
     cycles_ += result.penalty_cycles;
-    if (!result.ok()) {
-        switch (result.fault) {
-          case tlb::TlbFault::kNoMapping:
-          case tlb::TlbFault::kNotReadable:
-            raise(is_store ? ExcCode::kTlbStore : ExcCode::kTlbLoad,
-                  vaddr);
-            break;
-          case tlb::TlbFault::kNotWritable:
-            raise(ExcCode::kTlbModified, vaddr);
-            break;
-          case tlb::TlbFault::kCapLoadDenied:
-            raiseCap(CapCause::kTlbNoLoadCap,
-                     static_cast<std::uint8_t>(cap_index), vaddr);
-            break;
-          case tlb::TlbFault::kCapStoreDenied:
-            raiseCap(CapCause::kTlbNoStoreCap,
-                     static_cast<std::uint8_t>(cap_index), vaddr);
-            break;
-          default:
-            raise(ExcCode::kTlbLoad, vaddr);
-            break;
-        }
-        return false;
+    if (result.ok()) {
+        paddr_out = result.paddr;
+        return true;
     }
-    paddr_out = result.paddr;
-    return true;
+    bool is_store = access == tlb::Access::kStore ||
+                    access == tlb::Access::kCapStore;
+    switch (result.fault) {
+      case tlb::TlbFault::kNoMapping:
+      case tlb::TlbFault::kNotReadable:
+        raise(is_store ? ExcCode::kTlbStore : ExcCode::kTlbLoad, vaddr);
+        break;
+      case tlb::TlbFault::kNotWritable:
+        raise(ExcCode::kTlbModified, vaddr);
+        break;
+      case tlb::TlbFault::kCapLoadDenied:
+        raiseCap(CapCause::kTlbNoLoadCap,
+                 static_cast<std::uint8_t>(cap_index), vaddr);
+        break;
+      case tlb::TlbFault::kCapStoreDenied:
+        raiseCap(CapCause::kTlbNoStoreCap,
+                 static_cast<std::uint8_t>(cap_index), vaddr);
+        break;
+      default:
+        raise(ExcCode::kTlbLoad, vaddr);
+        break;
+    }
+    return false;
 }
 
 Cpu::StepOutcome
@@ -623,13 +581,12 @@ Cpu::injectMemoSkew(std::uint64_t pick)
 }
 
 /*
- * Per-opcode handler bodies, extracted verbatim from the old inline
- * execute() switch. The interpreter switch below still calls them
- * case by case (the compiler inlines them back, so the per-
- * instruction path keeps its baseline codegen), while the superblock
- * tier dispatches the very same functions through a pre-resolved
- * label table (computed goto) — one source of truth for instruction
- * semantics, two dispatch mechanisms.
+ * Per-opcode handler bodies. The interpreter switch below calls them
+ * case by case (the compiler inlines them, so the per-instruction path
+ * keeps its codegen), while the superblock tier dispatches the very
+ * same functions through a pre-resolved label table (computed goto) —
+ * one source of truth for instruction semantics, two dispatch
+ * mechanisms.
  */
 struct CpuExec
 {
@@ -1006,96 +963,146 @@ struct CpuExec
     }
 
     // --- memory ---
-    //
-    // Common legacy loads/stores get one handler per opcode so the
-    // access size, signedness, and direction are compile-time
-    // constants: the whole branch chain executeMemory walks to
-    // rediscover them folds away, and the memo probe inlines into the
-    // dispatch body. The simulated effect sequence is executeMemory's
-    // verbatim — both the interpreter switch and the superblock
-    // dispatch run these same handlers, so there is exactly one
-    // implementation to keep exact. LL/SC keep the generic path (they
-    // carry reservation state and are rare).
-    template <unsigned kSize, bool kUnsigned>
-    static CHERI_FORCE_INLINE void loadLegacy(Cpu &c, const Instruction &i)
+
+    /**
+     * The one load/store body, instantiated per data-memory opcode:
+     * capability check, alignment, TLB, hierarchy (cpu.h), with the
+     * data memo standing in for the last two above kReference
+     * (DESIGN.md §9). Legacy ops address through C0 (Section 4.1).
+     */
+    template <Opcode kOp>
+    static CHERI_FORCE_INLINE void access(Cpu &c, const Instruction &i)
     {
-        ++*c.stat_mem_;
-        std::uint64_t offset =
-            c.gpr_[i.rs] +
-            static_cast<std::uint64_t>(static_cast<std::int64_t>(i.imm));
-        std::uint64_t vaddr =
-            cap::effectiveAddress(c.caps_.read(0), offset);
-        if (c.fastPaths() && vaddr % kSize == 0 &&
-            cap::checkDataAccess(c.caps_.read(0), offset, kSize,
-                                 cap::kPermLoad) == CapCause::kNone) {
-            std::uint64_t value = 0;
-            if (c.tryFastRead(vaddr, kSize, value)) {
-                if constexpr (!kUnsigned && kSize < 8)
-                    value = static_cast<std::uint64_t>(
-                        signExtend(value, kSize * 8));
-                c.setGpr(i.rt, value);
+        using Op = MemOp<kOp>;
+        if constexpr (Op::kViaCap) {
+            if (!c.cp2_enabled_) {
+                c.raise(ExcCode::kCoprocessorUnusable);
                 return;
             }
+            ++*c.stat_capmem_;
+        } else {
+            ++*c.stat_mem_;
         }
-        std::uint64_t paddr = 0;
-        if (!c.checkedDataAccess(0, offset, kSize, false, false, paddr))
-            return;
-        std::uint64_t mem_cycles = 0;
-        std::uint64_t value = c.memory_.read(paddr, kSize, mem_cycles);
-        c.cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-        if constexpr (!kUnsigned && kSize < 8)
-            value = static_cast<std::uint64_t>(
-                signExtend(value, kSize * 8));
-        c.setGpr(i.rt, value);
-        if (c.fastPaths())
-            c.mintDataMemo(vaddr, paddr);
-    }
-    template <unsigned kSize>
-    static CHERI_FORCE_INLINE void storeLegacy(Cpu &c, const Instruction &i)
-    {
-        ++*c.stat_mem_;
+        const std::uint8_t cb = Op::kViaCap ? i.cb : 0;
+        const cap::Capability &base = c.caps_.read(cb);
         std::uint64_t offset =
-            c.gpr_[i.rs] +
+            c.gpr_[Op::kViaCap ? i.rt : i.rs] +
             static_cast<std::uint64_t>(static_cast<std::int64_t>(i.imm));
-        std::uint64_t vaddr =
-            cap::effectiveAddress(c.caps_.read(0), offset);
-        if (c.fastPaths() && vaddr % kSize == 0 &&
-            cap::checkDataAccess(c.caps_.read(0), offset, kSize,
-                                 cap::kPermStore) == CapCause::kNone) {
-            if (c.tryFastWrite(vaddr, kSize, c.gpr_[i.rt]))
-                return;
-        }
-        std::uint64_t paddr = 0;
-        if (!c.checkedDataAccess(0, offset, kSize, true, false, paddr))
+        // Fixed before any state changes: a CLC may overwrite cb.
+        const std::uint64_t vaddr = cap::effectiveAddress(base, offset);
+
+        CapCause cause = cap::checkDataAccess(base, offset, Op::kSize,
+                                              Op::kPerm, Op::kLine);
+        if (cause != CapCause::kNone) {
+            c.raiseCap(cause, cb, vaddr);
             return;
+        }
+        // The capability check already aligned a whole-line access.
+        if (!Op::kLine && vaddr % Op::kSize != 0) {
+            c.raise(Op::kStore ? ExcCode::kAddressErrorStore
+                               : ExcCode::kAddressErrorLoad,
+                    vaddr);
+            return;
+        }
+
+        // LL/SC always walk and never mint: they are rare, and the
+        // memo's live entries are what injectMemoSkew can reach.
+        std::uint64_t paddr = 0;
         std::uint64_t mem_cycles = 0;
-        c.memory_.write(paddr, kSize, c.gpr_[i.rt], mem_cycles);
+        const Cpu::DataMemoEntry *memo = nullptr;
+        if constexpr (!Op::kLinked) {
+            if (c.fastPaths())
+                memo = c.probeDataMemo<Op::kAccess>(vaddr);
+        }
+        if (memo != nullptr) {
+            paddr = memo->paddr_line | (vaddr & (mem::kLineBytes - 1));
+            if (transfer<kOp>(c, i, memo, paddr, mem_cycles))
+                c.tlb_.replayHit(memo->hint);
+            else
+                memo = nullptr; // the line left the L1D: walk instead
+        }
+        if (memo == nullptr) {
+            if (!c.translateData(vaddr, Op::kAccess, cb, paddr))
+                return;
+            if constexpr (!Op::kLinked) {
+                transfer<kOp>(c, i, nullptr, paddr, mem_cycles);
+                if (c.fastPaths())
+                    c.mintDataMemo(vaddr, paddr);
+            } else if constexpr (!Op::kStore) {
+                transfer<kOp>(c, i, nullptr, paddr, mem_cycles);
+                c.ll_valid_ = true;
+                c.ll_addr_ = paddr;
+            } else {
+                // SC stores only while the reservation holds, and
+                // reports which.
+                bool held = c.ll_valid_ && c.ll_addr_ == paddr;
+                if (held)
+                    transfer<kOp>(c, i, nullptr, paddr, mem_cycles);
+                c.setGpr(Op::data(i), held ? 1 : 0);
+                c.ll_valid_ = false;
+            }
+        }
         c.cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-        if (c.ll_valid_ && c.ll_addr_ == paddr)
-            c.ll_valid_ = false;
-        if (c.fastPaths())
-            c.mintDataMemo(vaddr, paddr);
+        // Any scalar store to the reserved paddr breaks the reservation.
+        if constexpr (Op::kStore && !Op::kLine) {
+            if (c.ll_valid_ && c.ll_addr_ == paddr)
+                c.ll_valid_ = false;
+        }
     }
-    static void lb(Cpu &c, const Instruction &i) { loadLegacy<1, false>(c, i); }
-    static void lbu(Cpu &c, const Instruction &i) { loadLegacy<1, true>(c, i); }
-    static void lh(Cpu &c, const Instruction &i) { loadLegacy<2, false>(c, i); }
-    static void lhu(Cpu &c, const Instruction &i) { loadLegacy<2, true>(c, i); }
-    static void lw(Cpu &c, const Instruction &i) { loadLegacy<4, false>(c, i); }
-    static void lwu(Cpu &c, const Instruction &i) { loadLegacy<4, true>(c, i); }
-    static void ld(Cpu &c, const Instruction &i) { loadLegacy<8, true>(c, i); }
-    static void sb(Cpu &c, const Instruction &i) { storeLegacy<1>(c, i); }
-    static void sh(Cpu &c, const Instruction &i) { storeLegacy<2>(c, i); }
-    static void sw(Cpu &c, const Instruction &i) { storeLegacy<4>(c, i); }
-    static void sd(Cpu &c, const Instruction &i) { storeLegacy<8>(c, i); }
 
-    // LL/SC and anything else that needs reservation bookkeeping.
-    static void memOp(Cpu &c, const Instruction &i)
+    /**
+     * Moves kOp's data between paddr and its register: through the
+     * memo's L1D handle when memo is set (false, with no effects
+     * applied, when the line left the L1D), else through the full
+     * hierarchy walk. A load writes its register only once it hit.
+     */
+    template <Opcode kOp>
+    static CHERI_FORCE_INLINE bool
+    transfer(Cpu &c, const Instruction &i, const Cpu::DataMemoEntry *memo,
+             std::uint64_t paddr, std::uint64_t &mem_cycles)
     {
-        c.executeMemory(i);
+        using Op = MemOp<kOp>;
+        cache::CacheHierarchy &memory = c.memory_;
+        if constexpr (Op::kLine && Op::kStore) {
+            const cap::Capability &src = c.caps_.read(i.cd);
+            mem::TaggedLine line{src.raw(), src.tag()};
+            if (memo != nullptr)
+                return memory.writeCapLineFast(memo->l1d, paddr, line,
+                                               mem_cycles);
+            memory.writeCapLine(paddr, line, mem_cycles);
+        } else if constexpr (Op::kLine) {
+            mem::TaggedLine walked;
+            const mem::TaggedLine *line = &walked;
+            if (memo != nullptr)
+                line = memory.readCapLineFast(memo->l1d, mem_cycles);
+            else
+                walked = memory.readCapLine(paddr, mem_cycles);
+            if (line == nullptr)
+                return false;
+            c.caps_.write(i.cd,
+                          cap::Capability::fromRaw(line->data, line->tag));
+        } else if constexpr (Op::kStore) {
+            std::uint64_t value = c.gpr_[Op::data(i)];
+            if (memo != nullptr)
+                return memory.writeFast(memo->l1d, paddr, Op::kSize, value,
+                                        mem_cycles);
+            memory.write(paddr, Op::kSize, value, mem_cycles);
+        } else {
+            std::uint64_t value = 0;
+            if (memo == nullptr)
+                value = memory.read(paddr, Op::kSize, mem_cycles);
+            else if (!memory.readFast(memo->l1d, paddr, Op::kSize, value,
+                                      mem_cycles))
+                return false;
+            if constexpr (Op::kSignExtend)
+                value = static_cast<std::uint64_t>(
+                    signExtend(value, Op::kSize * 8));
+            c.setGpr(Op::data(i), value);
+        }
+        return true;
     }
 
-    // --- CP2: every CHERI opcode funnels through executeCp2, which
-    // routes capability memory to executeCapMemory itself ---
+    // --- CP2: every CHERI opcode but the loads and stores ---
     static void cp2(Cpu &c, const Instruction &i)
     {
         if (!c.cp2_enabled_) {
@@ -1130,32 +1137,27 @@ struct CpuExec
     X(kJ, j) X(kJal, jal) X(kJr, jr) X(kJalr, jalr) X(kBeq, beq) \
     X(kBne, bne) X(kBlez, blez) X(kBgtz, bgtz) X(kBltz, bltz) \
     X(kBgez, bgez) X(kSyscall, syscall_) X(kBreak, break_) \
-    X(kLb, lb) X(kLbu, lbu) X(kLh, lh) X(kLhu, lhu) \
-    X(kLw, lw) X(kLwu, lwu) X(kLd, ld) X(kSb, sb) \
-    X(kSh, sh) X(kSw, sw) X(kSd, sd) X(kLld, memOp) \
-    X(kScd, memOp) \
+    X(kLb, access<Opcode::kLb>) X(kLbu, access<Opcode::kLbu>) \
+    X(kLh, access<Opcode::kLh>) X(kLhu, access<Opcode::kLhu>) \
+    X(kLw, access<Opcode::kLw>) X(kLwu, access<Opcode::kLwu>) \
+    X(kLd, access<Opcode::kLd>) X(kSb, access<Opcode::kSb>) \
+    X(kSh, access<Opcode::kSh>) X(kSw, access<Opcode::kSw>) \
+    X(kSd, access<Opcode::kSd>) X(kLld, access<Opcode::kLld>) \
+    X(kScd, access<Opcode::kScd>) \
     X(kCGetBase, cp2) X(kCGetLen, cp2) X(kCGetTag, cp2) \
     X(kCGetPerm, cp2) X(kCGetPcc, cp2) X(kCIncBase, cp2) \
     X(kCSetLen, cp2) X(kCClearTag, cp2) X(kCAndPerm, cp2) \
     X(kCToPtr, cp2) X(kCFromPtr, cp2) X(kCBtu, cp2) X(kCBts, cp2) \
-    X(kCLc, cp2) X(kCSc, cp2) X(kClb, cp2) X(kClbu, cp2) \
-    X(kClh, cp2) X(kClhu, cp2) X(kClw, cp2) X(kClwu, cp2) \
-    X(kCld, cp2) X(kCsb, cp2) X(kCsh, cp2) X(kCsw, cp2) \
-    X(kCsd, cp2) X(kClld, cp2) X(kCscd, cp2) X(kCJr, cp2) \
-    X(kCJalr, cp2) X(kCSeal, cp2) X(kCUnseal, cp2) \
-    X(kCGetType, cp2) X(kCCall, cp2) X(kCReturn, cp2)
-
-/** The unique handlers, for defining one dispatch label each. */
-#define CHERI_FOR_EACH_HANDLER(H) \
-    H(invalid) H(sll) H(srl) H(sra) H(sllv) H(srlv) H(srav) H(dsll) \
-    H(dsrl) H(dsra) H(dsll32) H(dsrl32) H(dsra32) H(dsllv) H(dsrlv) \
-    H(dsrav) H(addu) H(daddu) H(subu) H(dsubu) H(and_) H(or_) \
-    H(xor_) H(nor_) H(slt) H(sltu) H(movz) H(movn) H(dmult) \
-    H(dmultu) H(ddiv) H(ddivu) H(mfhi) H(mflo) H(addiu) H(daddiu) \
-    H(slti) H(sltiu) H(andi) H(ori) H(xori) H(lui) H(j) H(jal) \
-    H(jr) H(jalr) H(beq) H(bne) H(blez) H(bgtz) H(bltz) H(bgez) \
-    H(syscall_) H(break_) H(lb) H(lbu) H(lh) H(lhu) H(lw) H(lwu) \
-    H(ld) H(sb) H(sh) H(sw) H(sd) H(memOp) H(cp2)
+    X(kCLc, access<Opcode::kCLc>) X(kCSc, access<Opcode::kCSc>) \
+    X(kClb, access<Opcode::kClb>) X(kClbu, access<Opcode::kClbu>) \
+    X(kClh, access<Opcode::kClh>) X(kClhu, access<Opcode::kClhu>) \
+    X(kClw, access<Opcode::kClw>) X(kClwu, access<Opcode::kClwu>) \
+    X(kCld, access<Opcode::kCld>) X(kCsb, access<Opcode::kCsb>) \
+    X(kCsh, access<Opcode::kCsh>) X(kCsw, access<Opcode::kCsw>) \
+    X(kCsd, access<Opcode::kCsd>) X(kClld, access<Opcode::kClld>) \
+    X(kCscd, access<Opcode::kCscd>) X(kCJr, cp2) X(kCJalr, cp2) \
+    X(kCSeal, cp2) X(kCUnseal, cp2) X(kCGetType, cp2) X(kCCall, cp2) \
+    X(kCReturn, cp2)
 
 namespace
 {
@@ -1440,9 +1442,9 @@ Cpu::executeSuperblock(Superblock &sb, const RunLimits &limits,
     const bool force_full = trace_hook_ != nullptr;
 
     // Label-per-opcode dispatch table in Opcode order (pinned by the
-    // static_asserts above); shared handlers appear multiple times.
+    // static_asserts above).
     static const void *const kLabels[isa::kNumOpcodes] = {
-#define X(op, fn) &&dispatch_##fn,
+#define X(op, fn) &&dispatch_##op,
         CHERI_FOR_EACH_OPCODE(X)
 #undef X
     };
@@ -1543,12 +1545,12 @@ Cpu::executeSuperblock(Superblock &sb, const RunLimits &limits,
         }
 
         goto *kLabels[static_cast<std::size_t>(inst.op)];
-#define H(fn) \
-    dispatch_##fn: \
+#define X(op, fn) \
+    dispatch_##op: \
         CpuExec::fn(*this, inst); \
         goto retire;
-        CHERI_FOR_EACH_HANDLER(H)
-#undef H
+        CHERI_FOR_EACH_OPCODE(X)
+#undef X
     retire:
         ++retired; // instruction count + base CPI, settled at exit
 
@@ -1656,232 +1658,8 @@ Cpu::executeSuperblock(Superblock &sb, const RunLimits &limits,
 }
 
 void
-Cpu::executeMemory(const Instruction &inst)
-{
-    ++*stat_mem_;
-    unsigned size = 1u << isa::accessSizeLog2(inst.op);
-    // Legacy accesses are implicitly offset via C0 (Section 4.1): the
-    // integer address is an offset into the C0 segment.
-    std::uint64_t offset =
-        gpr_[inst.rs] +
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(inst.imm));
-    bool is_store = inst.op == Opcode::kSb || inst.op == Opcode::kSh ||
-                    inst.op == Opcode::kSw || inst.op == Opcode::kSd ||
-                    inst.op == Opcode::kScd;
-
-    if (inst.op == Opcode::kScd) {
-        std::uint64_t paddr = 0;
-        if (!checkedDataAccess(0, offset, size, true, false, paddr))
-            return;
-        if (ll_valid_ && ll_addr_ == paddr) {
-            std::uint64_t mem_cycles = 0;
-            memory_.write(paddr, size, gpr_[inst.rt], mem_cycles);
-            cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-            setGpr(inst.rt, 1);
-        } else {
-            setGpr(inst.rt, 0);
-        }
-        ll_valid_ = false;
-        return;
-    }
-
-    // Data fast path (LL excluded: it must record the reservation
-    // paddr, which the slow path already produces). The capability and
-    // alignment checks here are pure, so a fast-path miss falls to the
-    // slow path with zero simulated effects applied.
-    std::uint64_t vaddr = cap::effectiveAddress(caps_.read(0), offset);
-    if (fastPaths() && inst.op != Opcode::kLld && vaddr % size == 0 &&
-        cap::checkDataAccess(caps_.read(0), offset, size,
-                             is_store ? cap::kPermStore
-                                      : cap::kPermLoad) ==
-            CapCause::kNone) {
-        if (is_store) {
-            if (tryFastWrite(vaddr, size, gpr_[inst.rt]))
-                return;
-        } else {
-            std::uint64_t value = 0;
-            if (tryFastRead(vaddr, size, value)) {
-                if (!isa::loadIsUnsigned(inst.op) && size < 8)
-                    value = static_cast<std::uint64_t>(
-                        signExtend(value, size * 8));
-                setGpr(inst.rt, value);
-                return;
-            }
-        }
-    }
-
-    std::uint64_t paddr = 0;
-    if (!checkedDataAccess(0, offset, size, is_store, false, paddr))
-        return;
-
-    std::uint64_t mem_cycles = 0;
-    if (is_store) {
-        memory_.write(paddr, size, gpr_[inst.rt], mem_cycles);
-        cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-        // Any store to the monitored line breaks the reservation.
-        if (ll_valid_ && ll_addr_ == paddr)
-            ll_valid_ = false;
-        if (fastPaths())
-            mintDataMemo(vaddr, paddr);
-        return;
-    }
-
-    std::uint64_t value = memory_.read(paddr, size, mem_cycles);
-    cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-    if (!isa::loadIsUnsigned(inst.op) && size < 8)
-        value = static_cast<std::uint64_t>(
-            signExtend(value, size * 8));
-    setGpr(inst.rt, value);
-
-    if (inst.op == Opcode::kLld) {
-        ll_valid_ = true;
-        ll_addr_ = paddr;
-    } else if (fastPaths()) {
-        mintDataMemo(vaddr, paddr);
-    }
-}
-
-void
-Cpu::executeCapMemory(const Instruction &inst)
-{
-    ++*stat_capmem_;
-    std::uint64_t offset =
-        gpr_[inst.rt] +
-        static_cast<std::uint64_t>(static_cast<std::int64_t>(inst.imm));
-
-    if (inst.op == Opcode::kCLc || inst.op == Opcode::kCSc) {
-        bool is_store = inst.op == Opcode::kCSc;
-
-        // Data fast path for full-line capability transfers. The
-        // checks are pure; a miss falls through effect-free.
-        if (fastPaths() &&
-            cap::checkDataAccess(caps_.read(inst.cb), offset,
-                                 mem::kLineBytes,
-                                 is_store ? cap::kPermStoreCap
-                                          : cap::kPermLoadCap,
-                                 true) == CapCause::kNone) {
-            std::uint64_t vaddr =
-                cap::effectiveAddress(caps_.read(inst.cb), offset);
-            if (is_store) {
-                const cap::Capability &src = caps_.read(inst.cd);
-                mem::TaggedLine line{src.raw(), src.tag()};
-                if (tryFastCapWrite(vaddr, line))
-                    return;
-            } else if (const mem::TaggedLine *line =
-                           tryFastCapRead(vaddr)) {
-                caps_.write(inst.cd, cap::Capability::fromRaw(
-                                         line->data, line->tag));
-                return;
-            }
-        }
-
-        std::uint64_t paddr = 0;
-        if (!checkedDataAccess(inst.cb, offset, mem::kLineBytes,
-                               is_store, true, paddr))
-            return;
-        std::uint64_t mem_cycles = 0;
-        if (is_store) {
-            const cap::Capability &src = caps_.read(inst.cd);
-            mem::TaggedLine line{src.raw(), src.tag()};
-            memory_.writeCapLine(paddr, line, mem_cycles);
-        } else {
-            mem::TaggedLine line =
-                memory_.readCapLine(paddr, mem_cycles);
-            caps_.write(inst.cd,
-                        cap::Capability::fromRaw(line.data, line.tag));
-        }
-        cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-        if (fastPaths()) {
-            mintDataMemo(cap::effectiveAddress(caps_.read(inst.cb),
-                                               offset),
-                         paddr);
-        }
-        return;
-    }
-
-    unsigned size = 1u << isa::accessSizeLog2(inst.op);
-    bool is_store = inst.op == Opcode::kCsb || inst.op == Opcode::kCsh ||
-                    inst.op == Opcode::kCsw || inst.op == Opcode::kCsd ||
-                    inst.op == Opcode::kCscd;
-
-    // Capability-relative data accesses must also be naturally
-    // aligned; enforce through the same alignment exception MIPS uses.
-    if (inst.op == Opcode::kCscd) {
-        std::uint64_t paddr = 0;
-        if (!checkedDataAccess(inst.cb, offset, size, true, false, paddr))
-            return;
-        if (ll_valid_ && ll_addr_ == paddr) {
-            std::uint64_t mem_cycles = 0;
-            memory_.write(paddr, size, gpr_[inst.rd], mem_cycles);
-            cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-            setGpr(inst.rd, 1);
-        } else {
-            setGpr(inst.rd, 0);
-        }
-        ll_valid_ = false;
-        return;
-    }
-
-    // Data fast path for capability-relative scalar accesses (CLLD
-    // excluded for the same reservation reason as LL above).
-    std::uint64_t vaddr =
-        cap::effectiveAddress(caps_.read(inst.cb), offset);
-    if (fastPaths() && inst.op != Opcode::kClld && vaddr % size == 0 &&
-        cap::checkDataAccess(caps_.read(inst.cb), offset, size,
-                             is_store ? cap::kPermStore
-                                      : cap::kPermLoad) ==
-            CapCause::kNone) {
-        if (is_store) {
-            if (tryFastWrite(vaddr, size, gpr_[inst.rd]))
-                return;
-        } else {
-            std::uint64_t value = 0;
-            if (tryFastRead(vaddr, size, value)) {
-                if (!isa::loadIsUnsigned(inst.op) && size < 8)
-                    value = static_cast<std::uint64_t>(
-                        signExtend(value, size * 8));
-                setGpr(inst.rd, value);
-                return;
-            }
-        }
-    }
-
-    std::uint64_t paddr = 0;
-    if (!checkedDataAccess(inst.cb, offset, size, is_store, false, paddr))
-        return;
-
-    std::uint64_t mem_cycles = 0;
-    if (is_store) {
-        memory_.write(paddr, size, gpr_[inst.rd], mem_cycles);
-        cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-        if (ll_valid_ && ll_addr_ == paddr)
-            ll_valid_ = false;
-        if (fastPaths())
-            mintDataMemo(vaddr, paddr);
-        return;
-    }
-
-    std::uint64_t value = memory_.read(paddr, size, mem_cycles);
-    cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-    if (!isa::loadIsUnsigned(inst.op) && size < 8)
-        value = static_cast<std::uint64_t>(signExtend(value, size * 8));
-    setGpr(inst.rd, value);
-
-    if (inst.op == Opcode::kClld) {
-        ll_valid_ = true;
-        ll_addr_ = paddr;
-    } else if (fastPaths()) {
-        mintDataMemo(vaddr, paddr);
-    }
-}
-
-void
 Cpu::executeCp2(const Instruction &inst)
 {
-    if (inst.isCapMemory()) {
-        executeCapMemory(inst);
-        return;
-    }
     ++*stat_cp2_;
 
     switch (inst.op) {

@@ -201,12 +201,12 @@ struct SyscallAction
  * The data fast path mirrors that design for loads and stores: a
  * direct-mapped memo keyed by virtual line fuses the TLB translation
  * (with a PTE permission snapshot) and a host pointer to the line's
- * resident L1D way, so an unsealed in-bounds access that hits the
- * memo skips checkedDataAccess and the full CacheHierarchy walk while
- * replaying every simulated effect — TLB hit stat and LRU, L1D
- * hit/LRU/latency, tag-clearing store semantics, fault injection,
- * fetch coherence, and the store observer — bit-identically. See
- * DESIGN.md §9. Both fast paths run at HostTier::kFast and above.
+ * resident L1D way, so a checked, aligned access that hits the memo
+ * skips the TLB walk and the full CacheHierarchy walk while replaying
+ * every simulated effect — TLB hit stat and LRU, L1D hit/LRU/latency,
+ * tag-clearing store semantics, fault injection, fetch coherence, and
+ * the store observer — bit-identically. See DESIGN.md §9. Both fast
+ * paths run at HostTier::kFast and above.
  */
 class Cpu : private cache::FetchInvalidationListener
 {
@@ -502,8 +502,8 @@ class Cpu : private cache::FetchInvalidationListener
      *  effects). */
     bool superblockGuardsHold(Superblock &sb);
 
-    /** Threaded-dispatch executor (computed goto where the build
-     *  found support, function-pointer table otherwise). */
+    /** Threaded-dispatch executor: a computed goto through one label
+     *  per opcode. */
     void executeSuperblock(Superblock &sb, const RunLimits &limits,
                            std::uint64_t start_insts,
                            std::uint64_t start_cycles,
@@ -542,21 +542,13 @@ class Cpu : private cache::FetchInvalidationListener
     }
 
     /**
-     * Fast-path attempts for a capability-checked, naturally aligned
-     * access at vaddr. On a memo hit they replay exactly the
-     * simulated effects of the slow path (TLB hit stat + LRU, one
-     * L1D hit with stat/LRU/latency, tag semantics, store observer,
-     * fetch coherence) and return success; on any staleness they
-     * apply no effects and return failure so the caller runs the
-     * full path.
+     * The memo entry for vaddr when it may stand in for a kAccess
+     * translation: same virtual line, unchanged TLB generation, and a
+     * PTE snapshot that grants the access. Pure host-side probe; on
+     * nullptr the caller walks the TLB with no effects applied.
      */
-    bool tryFastRead(std::uint64_t vaddr, unsigned size,
-                     std::uint64_t &value);
-    bool tryFastWrite(std::uint64_t vaddr, unsigned size,
-                      std::uint64_t value);
-    const mem::TaggedLine *tryFastCapRead(std::uint64_t vaddr);
-    bool tryFastCapWrite(std::uint64_t vaddr,
-                         const mem::TaggedLine &line);
+    template <tlb::Access kAccess>
+    const DataMemoEntry *probeDataMemo(std::uint64_t vaddr) const;
 
     /** Refill the memo after a successful slow-path access. */
     void mintDataMemo(std::uint64_t vaddr, std::uint64_t paddr);
@@ -567,18 +559,15 @@ class Cpu : private cache::FetchInvalidationListener
                   std::uint64_t bad_vaddr = 0);
 
     /**
-     * Checked data access through capability register index (or the
-     * almighty-equivalent conventions for legacy ops via C0). Returns
-     * false after raising the appropriate exception.
+     * TLB translation of a capability-checked, aligned data access
+     * through capability register cap_index, charging the refill
+     * penalty. Returns false after raising the TLB exception.
      */
-    bool checkedDataAccess(unsigned cap_index, std::uint64_t offset,
-                           unsigned size, bool is_store, bool is_cap,
-                           std::uint64_t &paddr_out);
+    bool translateData(std::uint64_t vaddr, tlb::Access access,
+                       unsigned cap_index, std::uint64_t &paddr_out);
 
     void execute(const isa::Instruction &inst);
     void executeCp2(const isa::Instruction &inst);
-    void executeMemory(const isa::Instruction &inst);
-    void executeCapMemory(const isa::Instruction &inst);
 
     void branchTo(std::uint64_t target);
 

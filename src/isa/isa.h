@@ -118,6 +118,7 @@ enum OpFlags : std::uint8_t
     kEndsBlock = 1 << 3,   ///< traps or leaves the run loop
     kCapMemory = 1 << 4,   ///< load/store through a capability register
     kZeroExtend = 1 << 5,  ///< unsigned load
+    kStore = 1 << 6,       ///< writes memory (stores, SC, CSC)
 };
 
 /**
@@ -222,12 +223,12 @@ inline constexpr std::array<OpInfo, kNumOpcodes> kOps = [] {
         {kLw, "lw", kImm, 0x23, 0, "t,i(s)", 0, 2},
         {kLwu, "lwu", kImm, 0x27, 0, "t,i(s)", kZeroExtend, 2},
         {kLd, "ld", kImm, 0x37, 0, "t,i(s)", 0, 3},
-        {kSb, "sb", kImm, 0x28, 0, "t,i(s)", 0, 0},
-        {kSh, "sh", kImm, 0x29, 0, "t,i(s)", 0, 1},
-        {kSw, "sw", kImm, 0x2b, 0, "t,i(s)", 0, 2},
-        {kSd, "sd", kImm, 0x3f, 0, "t,i(s)", 0, 3},
+        {kSb, "sb", kImm, 0x28, 0, "t,i(s)", kStore, 0},
+        {kSh, "sh", kImm, 0x29, 0, "t,i(s)", kStore, 1},
+        {kSw, "sw", kImm, 0x2b, 0, "t,i(s)", kStore, 2},
+        {kSd, "sd", kImm, 0x3f, 0, "t,i(s)", kStore, 3},
         {kLld, "lld", kImm, 0x34, 0, "t,i(s)", 0, 3},
-        {kScd, "scd", kImm, 0x3c, 0, "t,i(s)", 0, 3},
+        {kScd, "scd", kImm, 0x3c, 0, "t,i(s)", kStore, 3},
 
         {kCGetBase, "cgetbase", kCop2, 0x12, 0, "d,B"},
         {kCGetLen, "cgetlen", kCop2, 0x12, 1, "d,B"},
@@ -244,7 +245,7 @@ inline constexpr std::array<OpInfo, kNumOpcodes> kOps = [] {
         {kCBts, "cbts", kCop2, 0x12, 12, "B,p", kDelaySlot | kConditional},
 
         {kCLc, "clc", kCapCap, 0x36, 0, "D,t,i(B)", kCapMemory, 5},
-        {kCSc, "csc", kCapCap, 0x3e, 0, "D,t,i(B)", kCapMemory, 5},
+        {kCSc, "csc", kCapCap, 0x3e, 0, "D,t,i(B)", kCapMemory | kStore, 5},
         {kClb, "clb", kCapMem, 0x32, 0, "d,t,i(B)", kCapMemory, 0},
         {kClbu, "clbu", kCapMem, 0x32, 4, "d,t,i(B)",
          kCapMemory | kZeroExtend, 0},
@@ -255,12 +256,12 @@ inline constexpr std::array<OpInfo, kNumOpcodes> kOps = [] {
         {kClwu, "clwu", kCapMem, 0x32, 6, "d,t,i(B)",
          kCapMemory | kZeroExtend, 2},
         {kCld, "cld", kCapMem, 0x32, 3, "d,t,i(B)", kCapMemory, 3},
-        {kCsb, "csb", kCapMem, 0x3a, 0, "d,t,i(B)", kCapMemory, 0},
-        {kCsh, "csh", kCapMem, 0x3a, 1, "d,t,i(B)", kCapMemory, 1},
-        {kCsw, "csw", kCapMem, 0x3a, 2, "d,t,i(B)", kCapMemory, 2},
-        {kCsd, "csd", kCapMem, 0x3a, 3, "d,t,i(B)", kCapMemory, 3},
+        {kCsb, "csb", kCapMem, 0x3a, 0, "d,t,i(B)", kCapMemory | kStore, 0},
+        {kCsh, "csh", kCapMem, 0x3a, 1, "d,t,i(B)", kCapMemory | kStore, 1},
+        {kCsw, "csw", kCapMem, 0x3a, 2, "d,t,i(B)", kCapMemory | kStore, 2},
+        {kCsd, "csd", kCapMem, 0x3a, 3, "d,t,i(B)", kCapMemory | kStore, 3},
         {kClld, "clld", kCop2, 0x12, 15, "d,t(B)", kCapMemory, 3},
-        {kCscd, "cscd", kCop2, 0x12, 16, "d,t(B)", kCapMemory, 3},
+        {kCscd, "cscd", kCop2, 0x12, 16, "d,t(B)", kCapMemory | kStore, 3},
 
         {kCJr, "cjr", kCop2, 0x12, 13, "t(B)", kDelaySlot | kSwapsPcc},
         {kCJalr, "cjalr", kCop2, 0x12, 14, "D,t(B)",
@@ -409,16 +410,7 @@ superblockSimple(Opcode op)
 inline bool
 touchesDataMemory(Opcode op)
 {
-    static_assert(static_cast<int>(Opcode::kScd) -
-                          static_cast<int>(Opcode::kLb) ==
-                      12,
-                  "legacy load/store opcodes must stay contiguous");
-    static_assert(static_cast<int>(Opcode::kCscd) -
-                          static_cast<int>(Opcode::kCLc) ==
-                      14,
-                  "capability load/store opcodes must stay contiguous");
-    return (op >= Opcode::kLb && op <= Opcode::kScd) ||
-           (op >= Opcode::kCLc && op <= Opcode::kCscd);
+    return opInfo(op).size_log2 >= 0;
 }
 
 /** Conventional MIPS ABI register names, index 0..31. */

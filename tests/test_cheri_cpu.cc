@@ -416,15 +416,62 @@ TEST(CheriCpu, PccBoundsConfineFetch)
 
 TEST(CheriCpu, Cp2DisabledTraps)
 {
-    Assembler a(kCodeBase);
-    a.cgetbase(t0, 0);
-    a.break_();
+    // With CP2 off every CHERI opcode traps as coprocessor-unusable,
+    // the capability loads and stores included, and those count no
+    // inst.capmem. Each op heads a loop that addresses the data page
+    // through c0, and traps both cold (CP2 off from the start) and
+    // warm (CP2 switched off once the loop ran, which at the
+    // superblock tier is inside a chained superblock).
+    using Emit = void (*)(Assembler &);
+    const std::pair<const char *, Emit> ops[] = {
+        {"cgetbase", [](Assembler &a) { a.cgetbase(t0, 0); }},
+        {"clc", [](Assembler &a) { a.clc(1, 0, t3, 0); }},
+        {"csc", [](Assembler &a) { a.csc(0, 0, t3, 0); }},
+        {"clw", [](Assembler &a) { a.clw(v0, 0, t3, 0); }},
+        {"csd", [](Assembler &a) { a.csd(v0, 0, t3, 0); }},
+        {"clld", [](Assembler &a) { a.clld(v0, 0, t3); }},
+        {"cscd", [](Assembler &a) { a.cscd(v0, 0, t3); }},
+    };
+    for (HostTier tier : {HostTier::kReference, HostTier::kFast,
+                          HostTier::kSuperblock}) {
+        for (const auto &[name, emit] : ops) {
+            for (bool warm : {false, true}) {
+                SCOPED_TRACE(std::string(name) + " at " +
+                             hostTierName(tier) +
+                             (warm ? ", warm" : ", cold"));
+                Assembler a(kCodeBase);
+                a.li(t3, static_cast<std::int32_t>(kDataBase));
+                Assembler::Label loop = a.newLabel();
+                a.bind(loop);
+                emit(a);
+                a.daddiu(s0, s0, 1);
+                a.b(loop);
+                a.nop();
 
-    GuestFixture guest(a);
-    guest.cpu().setCp2Enabled(false);
-    RunResult result = guest.run();
-    EXPECT_EQ(result.reason, StopReason::kTrap);
-    EXPECT_EQ(result.trap.code, ExcCode::kCoprocessorUnusable);
+                MachineConfig config;
+                config.accel.tier = tier;
+                Machine machine(config);
+                machine.mapRange(kDataBase, 64 * 1024);
+                machine.loadProgram(kCodeBase, a.finish());
+                machine.reset(kCodeBase);
+                Cpu &cpu = machine.cpu();
+                if (warm) {
+                    ASSERT_EQ(cpu.run(64).reason, StopReason::kInstLimit);
+                }
+                std::uint64_t capmem = cpu.stats().get("inst.capmem");
+                std::uint64_t entered = cpu.superblockStats().entered;
+
+                cpu.setCp2Enabled(false);
+                RunResult result = cpu.run(100);
+                EXPECT_EQ(result.reason, StopReason::kTrap);
+                EXPECT_EQ(result.trap.code, ExcCode::kCoprocessorUnusable);
+                EXPECT_EQ(cpu.stats().get("inst.capmem"), capmem);
+                if (warm && tier == HostTier::kSuperblock) {
+                    EXPECT_GT(cpu.superblockStats().entered, entered);
+                }
+            }
+        }
+    }
 }
 
 TEST(CheriCpu, UnalignedCapabilityAccessTraps)

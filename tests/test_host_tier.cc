@@ -150,10 +150,11 @@ expectLockstepClean(const std::string &name, const std::string &policy,
                     HostTier tier)
 {
     support::StatSet counters = lockstepCounters(name, policy, tier);
-    if (tier != HostTier::kReference)
+    if (tier != HostTier::kReference) {
         EXPECT_EQ(counters.all(),
                   lockstepCounters(name, policy, HostTier::kReference)
                       .all());
+    }
 }
 
 class LockstepOlden
