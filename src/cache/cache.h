@@ -12,9 +12,11 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/tag_manager.h"
+#include "support/bits.h"
 #include "support/stats.h"
 
 namespace cheri::cache
@@ -165,74 +167,114 @@ class Cache : public LineSource
                             const mem::TaggedLine &line) override;
 
     /**
-     * Caller-held, revalidated-on-use pointer to a resident line — the
-     * host line-pointer cache handed to the CPU's data fast path. A
-     * handle names "the way that held line_key when probeHandle minted
-     * it"; every use re-checks valid + addr_tag on that way, which any
-     * eviction, invalidation, or flush falsifies, and (way, addr_tag)
-     * uniquely identifies one physical line (the way pins the set).
-     * Ways live in a vector sized once at construction, so the pointer
-     * itself never dangles. Default-constructed handles never
-     * validate.
+     * Caller-held, revalidated-on-use pointer to a resident line: the
+     * way that held line_key when the handle was minted. Every use
+     * re-checks valid + line_key on that way, which any eviction,
+     * invalidation or flush falsifies. Ways live in a vector sized
+     * once at construction, so the pointer itself never dangles. A
+     * valid handle is trusted to name the line being accessed: the
+     * entry points do not re-derive it from paddr (the CPU's data memo
+     * keys its handles by line, and injectMemoSkew relies on exactly
+     * this trust). Default-constructed handles never validate.
      */
     struct LineHandle
     {
         Way *way = nullptr;
-        std::uint64_t addr_tag = ~0ULL;
+        std::uint64_t line_key = ~0ULL; ///< paddr >> kLineShift
     };
-
-    /**
-     * Mint a handle for the line containing paddr if it is resident.
-     * Pure host-side probe (no stats, LRU, or cycles) — call it after
-     * an access that already counted its simulated effects.
-     */
-    bool probeHandle(std::uint64_t paddr, LineHandle &out)
-    {
-        Way *way = probeWay(paddr);
-        if (way == nullptr)
-            return false;
-        out.way = way;
-        out.addr_tag = addrTag(paddr);
-        return true;
-    }
 
     /** True while the handle still names its resident line. */
     bool
     handleValid(const LineHandle &handle) const
     {
         return handle.way != nullptr && handle.way->valid &&
-               handle.way->addr_tag == handle.addr_tag;
+               handle.way->line_key == handle.line_key;
     }
 
     /**
-     * Handle-validated read hit: if the handle still names its line,
-     * replay exactly the hit effects readLine would produce for it
-     * (hit stat, LRU bump, hit latency) and return the line; else
-     * nullptr and no effects. The line is resident, so the slow path
-     * would have hit — the replay is identical by construction.
+     * The cache's own handle for paddr's line, for callers that hold
+     * none: a direct-mapped memo of 64 handles indexed by line number,
+     * so workloads alternating between a handful of lines (tree node +
+     * stack, two arrays) skip the set scan. A slot naming another line
+     * is cleared first, so it can only validate for paddr's line.
      */
-    const mem::TaggedLine *
-    readHitFast(const LineHandle &handle, std::uint64_t &cycles)
+    LineHandle &
+    memoFor(std::uint64_t paddr)
     {
-        if (!handleValid(handle))
-            return nullptr;
-        ++*hits_;
-        handle.way->lru = ++lru_clock_;
-        cycles += config_.hit_latency;
-        noteDemandTouch(*handle.way);
-        return &handle.way->line;
+        std::uint64_t line_key = paddr >> kLineShift;
+        LineHandle &memo = memo_[line_key & (memo_.size() - 1)];
+        if (memo.line_key != line_key)
+            memo = LineHandle{};
+        return memo;
+    }
+
+    // --- demand accesses ---
+    //
+    // Each takes the handle for paddr's line: a valid one replays the
+    // hit (hit stat, LRU bump, hit latency) in line; anything else runs
+    // the set scan or the fill in findOrFill, which re-points the
+    // handle at the accessed line. So a stale handle costs exactly what
+    // no handle costs, and no entry point can fail. Only read and store
+    // notify the FillListener.
+
+    /** Read paddr's line; the reference is valid until the next
+     *  operation on this cache or anything below it. */
+    CHERI_FORCE_INLINE const mem::TaggedLine &
+    read(std::uint64_t paddr, LineHandle &hint, std::uint64_t &cycles)
+    {
+        return lookup(paddr, hint, cycles, /*demand_fill=*/true).line;
+    }
+
+    /**
+     * Sub-line store: equivalent to read followed by a full-line write
+     * of the modified copy. The write half re-hits the line just
+     * touched, so it replays a second hit directly. Returns the line,
+     * marked dirty, for in-place modification (the caller must not
+     * grow the access past the line).
+     */
+    CHERI_FORCE_INLINE mem::TaggedLine &
+    store(std::uint64_t paddr, LineHandle &hint, std::uint64_t &cycles)
+    {
+        Way &way = lookup(paddr, hint, cycles, /*demand_fill=*/true);
+        hit(way, cycles);
+        way.dirty = true;
+        return way.line;
+    }
+
+    /** Full-line write: returns the line, marked dirty, for the caller
+     *  to overwrite whole. */
+    mem::TaggedLine &
+    write(std::uint64_t paddr, LineHandle &hint, std::uint64_t &cycles)
+    {
+        Way &way = lookup(paddr, hint, cycles, /*demand_fill=*/false);
+        way.dirty = true;
+        return way.line;
+    }
+
+    /**
+     * Mint a handle for the line containing paddr if it is resident.
+     * Pure host-side probe (no stats, LRU, or cycles).
+     */
+    bool
+    probeHandle(std::uint64_t paddr, LineHandle &out)
+    {
+        Way *way = probeWay(paddr);
+        if (way == nullptr)
+            return false;
+        out = LineHandle{way, paddr >> kLineShift};
+        return true;
     }
 
     /**
      * Settle n deferred repeat hits on the handle's line at once:
-     * equivalent to n consecutive readHitFast calls, provided no
-     * other access to this cache interleaved them (the superblock
-     * tier guarantees that for the L1I — only fetches touch it, and
-     * the deferral window covers one line's straight-line run). The
-     * way may since have been invalidated by a store to its line; the
+     * equivalent to n consecutive hits through it, provided no other
+     * access to this cache interleaved them (the superblock tier
+     * guarantees that for the L1I — only fetches touch it, and the
+     * deferral window covers one line's straight-line run). The way
+     * may since have been invalidated by a store to its line; the
      * final LRU stamp still matches what the last replayed hit wrote
-     * before the invalidation, and nothing reads an invalid way's
-     * LRU before its next fill.
+     * before the invalidation, and nothing reads an invalid way's LRU
+     * before its next fill.
      */
     void
     applyDeferredHits(const LineHandle &handle, std::uint64_t n)
@@ -247,133 +289,6 @@ class Cache : public LineSource
     /** Hit latency in cycles (the deferred-replay per-slot stall). */
     std::uint64_t hitLatency() const { return config_.hit_latency; }
 
-    /**
-     * Handle-validated store hit: replays both halves of
-     * storeAccess's read-modify-write (two hit stats, two LRU bumps,
-     * twice the hit latency, dirty) and returns the line for in-place
-     * modification; nullptr and no effects when the handle is stale.
-     */
-    mem::TaggedLine *
-    storeHitFast(const LineHandle &handle, std::uint64_t &cycles)
-    {
-        if (!handleValid(handle))
-            return nullptr;
-        *hits_ += 2; // read half + guaranteed-hit write half
-        lru_clock_ += 2;
-        handle.way->lru = lru_clock_;
-        cycles += 2 * config_.hit_latency;
-        handle.way->dirty = true;
-        noteDemandTouch(*handle.way);
-        return &handle.way->line;
-    }
-
-    /**
-     * Handle-validated full-line write hit: replays exactly what
-     * writeLine does when it hits (one hit stat, one LRU bump, one
-     * hit latency, dirty) and installs the line; false and no effects
-     * when the handle is stale.
-     */
-    bool
-    writeLineHitFast(const LineHandle &handle, const mem::TaggedLine &line,
-                     std::uint64_t &cycles)
-    {
-        if (!handleValid(handle))
-            return false;
-        ++*hits_;
-        handle.way->lru = ++lru_clock_;
-        cycles += config_.hit_latency;
-        handle.way->line = line;
-        handle.way->dirty = true;
-        noteDemandTouch(*handle.way);
-        return true;
-    }
-
-    /**
-     * Header-inline entry to readLine for the interpreter hot path: a
-     * repeat access to a recently memoized line replays the hit
-     * effects (hit stat, LRU bump, hit latency) right here, without
-     * the cross-TU call into findOrFill; anything else falls through
-     * to readLine. Simulated behaviour is identical by construction —
-     * this is the same memo findOrFill itself checks first.
-     */
-    LineAccess
-    readLineFast(std::uint64_t paddr)
-    {
-        std::uint64_t line_key = paddr >> kLineShift;
-        const Memo &memo = memo_[line_key & (memo_.size() - 1)];
-        if (memo.line_key == line_key && memo.way->valid &&
-            memo.way->addr_tag == (line_key >> set_shift_)) {
-            ++*hits_;
-            memo.way->lru = ++lru_clock_;
-            noteDemandTouch(*memo.way);
-            return {&memo.way->line, config_.hit_latency};
-        }
-        return readLine(paddr);
-    }
-
-    /**
-     * readLineFast that also mints a LineHandle for the accessed
-     * line, without a second set scan: every findOrFill path (memo
-     * hit, set-scan hit, fill) leaves the memo naming the accessed
-     * line's way, so the handle comes straight from the memo. The
-     * handle always validates on return — the line is resident by
-     * construction.
-     */
-    LineAccess
-    readLineFastHandle(std::uint64_t paddr, LineHandle &out)
-    {
-        std::uint64_t line_key = paddr >> kLineShift;
-        std::uint64_t tag = line_key >> set_shift_;
-        const Memo &memo = memo_[line_key & (memo_.size() - 1)];
-        if (memo.line_key == line_key && memo.way->valid &&
-            memo.way->addr_tag == tag) {
-            ++*hits_;
-            memo.way->lru = ++lru_clock_;
-            noteDemandTouch(*memo.way);
-            out.way = memo.way;
-            out.addr_tag = tag;
-            return {&memo.way->line, config_.hit_latency};
-        }
-        LineAccess access = readLine(paddr);
-        const Memo &filled = memo_[line_key & (memo_.size() - 1)];
-        out.way = filled.way;
-        out.addr_tag = tag;
-        return access;
-    }
-
-    /** Header-inline entry to storeAccess, same contract as
-     *  readLineFast: the memo-hit case replays both halves of the
-     *  read-modify-write here, everything else falls through. */
-    mem::TaggedLine &
-    storeAccessFast(std::uint64_t paddr, std::uint64_t &cycles)
-    {
-        std::uint64_t line_key = paddr >> kLineShift;
-        const Memo &memo = memo_[line_key & (memo_.size() - 1)];
-        if (memo.line_key == line_key && memo.way->valid &&
-            memo.way->addr_tag == (line_key >> set_shift_)) {
-            *hits_ += 2; // read half + guaranteed-hit write half
-            lru_clock_ += 2;
-            memo.way->lru = lru_clock_;
-            cycles += 2 * config_.hit_latency;
-            memo.way->dirty = true;
-            noteDemandTouch(*memo.way);
-            return memo.way->line;
-        }
-        return storeAccess(paddr, cycles);
-    }
-
-    /**
-     * Combined sub-line store access: equivalent to readLine(paddr)
-     * followed by writeLine(paddr, modified) — the second access is a
-     * guaranteed hit on the just-touched line, so its stat bump, LRU
-     * update, and hit latency are applied directly. Returns the line
-     * for in-place modification (caller must not grow the access past
-     * the line); the line is marked dirty. Saves the second set scan
-     * and two 32-byte copies on every store.
-     */
-    mem::TaggedLine &storeAccess(std::uint64_t paddr,
-                                 std::uint64_t &cycles);
-
     /** Write back every dirty line and invalidate (context purge). */
     void flush();
 
@@ -381,8 +296,8 @@ class Cache : public LineSource
 
     /**
      * Register the (single) listener told about demand fills; nullptr
-     * detaches. Fired only from the readLine/storeAccess miss paths —
-     * never for writeLine allocations or prefetch fills.
+     * detaches. Fired only from the read/store miss paths — never for
+     * write allocations or prefetch fills.
      */
     void setFillListener(FillListener *listener)
     {
@@ -404,9 +319,7 @@ class Cache : public LineSource
      * critical path; their latency is modeled as hidden). If the line
      * is already resident this counts ".prefetch_late" and does
      * nothing else. Returns the filled line (for pointer chasing) or
-     * nullptr when resident. The findOrFill memo is deliberately not
-     * updated — it must keep naming the last *demand* access. Only
-     * call after armPrefetch().
+     * nullptr when resident. Only call after armPrefetch().
      */
     const mem::TaggedLine *prefetchFill(std::uint64_t paddr);
 
@@ -415,7 +328,10 @@ class Cache : public LineSource
     // stores; they model snoop machinery, not timed accesses.
 
     /** True when the line containing paddr is resident. */
-    bool contains(std::uint64_t paddr) const;
+    bool contains(std::uint64_t paddr) const
+    {
+        return probeWay(paddr) != nullptr;
+    }
 
     /** The resident line iff it is dirty, else nullptr. */
     const mem::TaggedLine *peekDirtyLine(std::uint64_t paddr) const;
@@ -449,9 +365,9 @@ class Cache : public LineSource
 
     /**
      * Copy other's full cache state (every way, the LRU clock,
-     * statistics); the geometry must match. The findOrFill memo is
-     * cleared — memo hits replay identical simulated effects, so this
-     * cannot perturb counters, it only drops stale way links.
+     * statistics); the geometry must match. Handles into this cache,
+     * its own memo's included, stay sound: each revalidates against
+     * the way's copied contents on use.
      */
     void copyStateFrom(const Cache &other);
 
@@ -462,10 +378,10 @@ class Cache : public LineSource
         bool dirty = false;
         /** Filled by prefetchFill and not yet demand-touched. Cleared
          *  (counting ".prefetch_useful") by the first demand hit —
-         *  every hit path, including the handle/memo replays, runs
-         *  noteDemandTouch so the counter is host-mode invariant. */
+         *  every hit runs noteDemandTouch, so the counter is host-tier
+         *  invariant. */
         bool prefetched = false;
-        std::uint64_t addr_tag = 0;
+        std::uint64_t line_key = 0; ///< paddr >> kLineShift
         std::uint64_t lru = 0; ///< larger = more recently used
         mem::TaggedLine line;
     };
@@ -485,61 +401,69 @@ class Cache : public LineSource
         }
     }
 
+    /** The effects of one demand hit on way: hit stat, LRU bump, hit
+     *  latency, and the first-touch prefetch accounting. */
+    CHERI_FORCE_INLINE void
+    hit(Way &way, std::uint64_t &cycles)
+    {
+        ++*hits_;
+        way.lru = ++lru_clock_;
+        cycles += config_.hit_latency;
+        noteDemandTouch(way);
+    }
+
+    /** The way holding paddr's line: the hint's when valid (replaying
+     *  the hit), else findOrFill's. */
+    CHERI_FORCE_INLINE Way &
+    lookup(std::uint64_t paddr, LineHandle &hint, std::uint64_t &cycles,
+           bool demand_fill)
+    {
+        if (handleValid(hint)) {
+            hit(*hint.way, cycles);
+            return *hint.way;
+        }
+        return findOrFill(paddr, hint, cycles, demand_fill);
+    }
+
     /**
-     * Locate (and on miss, fill) the way holding paddr's line. A fill
-     * notifies the FillListener only when demand_fill is set (the
-     * readLine/storeAccess entries; writeLine allocations pass false).
+     * Locate (and on miss, fill) the way holding paddr's line, and
+     * point hint at it. A fill notifies the FillListener only when
+     * demand_fill is set (read and store; write allocations pass
+     * false).
      */
-    Way &findOrFill(std::uint64_t paddr, std::uint64_t &cycles,
-                    bool demand_fill);
+    Way &findOrFill(std::uint64_t paddr, LineHandle &hint,
+                    std::uint64_t &cycles, bool demand_fill);
+
+    /**
+     * Evict the victim of line_key's set (an invalid way if any, else
+     * the LRU one, writing it back when dirty) and fill it with the
+     * line from below, adding the writeback and fill cycles.
+     */
+    Way &replace(std::uint64_t line_key, std::uint64_t &cycles);
 
     /** Host-side probe for the resident way of paddr's line, if any. */
-    Way *probeWay(std::uint64_t paddr)
+    const Way *probeWay(std::uint64_t paddr) const;
+    Way *
+    probeWay(std::uint64_t paddr)
     {
-        Way *set = &ways_[setIndex(paddr) * config_.ways];
-        std::uint64_t tag = addrTag(paddr);
-        for (unsigned w = 0; w < config_.ways; ++w)
-            if (set[w].valid && set[w].addr_tag == tag)
-                return &set[w];
-        return nullptr;
+        return const_cast<Way *>(std::as_const(*this).probeWay(paddr));
     }
 
-    // Set count is a power of two, so indexing is shift/mask — no
-    // per-access division on the hot path.
-    std::uint64_t setIndex(std::uint64_t paddr) const
+    /** Index of the first way of line_key's set. The set count is a
+     *  power of two, so this is a mask — no per-access division. */
+    std::size_t firstWay(std::uint64_t line_key) const
     {
-        return (paddr >> kLineShift) & set_mask_;
-    }
-    std::uint64_t addrTag(std::uint64_t paddr) const
-    {
-        return (paddr >> kLineShift) >> set_shift_;
+        return (line_key & set_mask_) * config_.ways;
     }
 
     CacheConfig config_;
     LineSource &below_;
-    std::uint64_t num_sets_;
     std::uint64_t set_mask_ = 0;
-    unsigned set_shift_ = 0;
     /** All ways, flattened: set s occupies [s*ways, (s+1)*ways). */
     std::vector<Way> ways_;
     std::uint64_t lru_clock_ = 0;
-    /**
-     * Direct-mapped memo of recently touched lines (indexed by line
-     * number): repeat accesses replay the hit effects (hit stat, LRU
-     * bump, hit latency) without rescanning the set. Multi-entry so
-     * workloads alternating between a handful of lines (tree node +
-     * stack, two arrays) keep hitting it. Sound because an entry is
-     * only trusted after re-checking valid + addr_tag on the
-     * remembered way, which any eviction, invalidation, or flush
-     * falsifies; way pointers themselves never dangle (ways_ is sized
-     * once at construction).
-     */
-    struct Memo
-    {
-        std::uint64_t line_key = ~0ULL; ///< paddr >> kLineShift
-        Way *way = nullptr;
-    };
-    std::array<Memo, 64> memo_{};
+    /** memoFor's slots. */
+    std::array<LineHandle, 64> memo_{};
     support::StatSet stats_;
     // Pre-resolved counter slots; bumping these avoids a string
     // concatenation plus map lookup on every access (see

@@ -38,6 +38,14 @@ CacheHierarchy::straddlePanic(std::uint64_t paddr, unsigned size) const
                         static_cast<unsigned long long>(paddr), size);
 }
 
+void
+CacheHierarchy::unalignedCapPanic(std::uint64_t paddr,
+                                  const char *kind) const
+{
+    support::guestFault("cache", "capability %s at unaligned 0x%llx",
+                        kind, static_cast<unsigned long long>(paddr));
+}
+
 std::uint32_t
 CacheHierarchy::fetch32(std::uint64_t paddr, std::uint64_t &cycles)
 {
@@ -61,39 +69,6 @@ CacheHierarchy::fetchCoherencePush(std::uint64_t paddr,
             l2_.writeLine(line_addr, *dirty); // cost intentionally dropped
         }
     }
-}
-
-mem::TaggedLine
-CacheHierarchy::readCapLine(std::uint64_t paddr, std::uint64_t &cycles)
-{
-    if (paddr % mem::kLineBytes != 0)
-        support::guestFault("cache",
-                            "capability load at unaligned 0x%llx",
-                            static_cast<unsigned long long>(paddr));
-    LineAccess access = l1d_.readLine(paddr);
-    cycles += access.cycles;
-    mem::TaggedLine copy = *access.line;
-    maybeDrainPrefetch(); // after the copy: the drain may evict the way
-    return copy;
-}
-
-void
-CacheHierarchy::writeCapLine(std::uint64_t paddr,
-                             const mem::TaggedLine &line,
-                             std::uint64_t &cycles)
-{
-    if (paddr % mem::kLineBytes != 0)
-        support::guestFault("cache",
-                            "capability store at unaligned 0x%llx",
-                            static_cast<unsigned long long>(paddr));
-    cycles += l1d_.writeLine(paddr, line);
-    noteCodeWriteFiltered(paddr);
-    if (store_hooks_armed_ && store_observer_ != nullptr)
-        store_observer_->onLineWritten(paddr);
-    // writeLine fills never trigger prefetch on their own cache, but
-    // an L1D write-allocate miss pulls the old line through the L2 —
-    // that L2 demand fill can queue.
-    maybeDrainPrefetch();
 }
 
 void

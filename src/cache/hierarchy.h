@@ -87,10 +87,13 @@ class CacheHierarchy : private FillListener
      * every slot of the line at once). Timing and stats are identical
      * to fetch32 at the same address: one L1I line access. The
      * returned pointer is valid until the next hierarchy operation.
-     * Inline: this runs once per simulated instruction.
+     * When handle is set it receives the L1I handle for the line (the
+     * superblock tier settles its deferred repeat fetches through
+     * it). Inline: this runs once per simulated instruction.
      */
     const mem::TaggedLine *
-    fetchLine(std::uint64_t paddr, std::uint64_t &cycles)
+    fetchLine(std::uint64_t paddr, std::uint64_t &cycles,
+              Cache::LineHandle *handle = nullptr)
     {
         std::uint64_t line_addr = paddr & ~(mem::kLineBytes - 1ULL);
         std::uint64_t index =
@@ -103,49 +106,16 @@ class CacheHierarchy : private FillListener
             // store to it must run the full noteCodeWrite.
             written_lines_[index] = ~0ULL;
         }
-        LineAccess access = l1i_.readLineFast(paddr);
-        cycles += access.cycles;
+        Cache::LineHandle &memo = l1i_.memoFor(paddr);
+        const mem::TaggedLine &line = l1i_.read(paddr, memo, cycles);
+        if (handle != nullptr)
+            *handle = memo;
         // An L1I miss that also missed the L2 may have queued L2
         // prefetch triggers; issue them now. The drain never touches
         // L1I way storage (prefetchers attach L1D/L2 only), so the
         // returned pointer stays valid.
         maybeDrainPrefetch();
-        return access.line;
-    }
-
-    /**
-     * Mint a pure host-side handle naming the L1I-resident line
-     * containing paddr (no stats, LRU, or cycles) — the superblock
-     * tier's repeat-fetch shortcut. See Cache::probeHandle.
-     */
-    bool probeFetchHandle(std::uint64_t paddr, Cache::LineHandle &out)
-    {
-        return l1i_.probeHandle(paddr, out);
-    }
-
-    /**
-     * fetchLine that also mints the L1I handle for the fetched line
-     * in the same probe (see Cache::readLineFastHandle) — the
-     * superblock tier's line-change step, replacing a fetchLine +
-     * probeFetchHandle pair. The handle always validates on return.
-     */
-    const mem::TaggedLine *
-    fetchLineHandle(std::uint64_t paddr, std::uint64_t &cycles,
-                    Cache::LineHandle &out)
-    {
-        std::uint64_t line_addr = paddr & ~(mem::kLineBytes - 1ULL);
-        std::uint64_t index =
-            (line_addr >> kLineShift) & (fetched_lines_.size() - 1);
-        std::uint64_t &slot = fetched_lines_[index];
-        if (slot != line_addr) {
-            fetchCoherencePush(paddr, line_addr);
-            slot = line_addr;
-            written_lines_[index] = ~0ULL;
-        }
-        LineAccess access = l1i_.readLineFastHandle(paddr, out);
-        cycles += access.cycles;
-        maybeDrainPrefetch(); // see fetchLine
-        return access.line;
+        return &line;
     }
 
     /**
@@ -170,18 +140,28 @@ class CacheHierarchy : private FillListener
     /** The L1I hit latency a deferred repeat fetch stalls for. */
     std::uint64_t fetchHitLatency() const { return l1i_.hitLatency(); }
 
+    // --- data accesses ---
+    //
+    // Each takes an optional caller-held L1D handle for the accessed
+    // line (the CPU's data memo holds one per virtual line, DESIGN.md
+    // §9); without one the L1D's own memo stands in. A valid handle
+    // replays the L1D hit in line, a stale one takes the full walk and
+    // is re-pointed at the line, so the simulated effects — stats,
+    // LRU, latency, tag semantics, fetch coherence, fault injection,
+    // the store observer — never depend on which handle was passed.
+
     /** General-purpose load of 1/2/4/8 bytes (tag-oblivious). */
-    std::uint64_t
-    read(std::uint64_t paddr, unsigned size, std::uint64_t &cycles)
+    CHERI_FORCE_INLINE std::uint64_t
+    read(std::uint64_t paddr, unsigned size, std::uint64_t &cycles,
+         Cache::LineHandle *hint = nullptr)
     {
         checkContained(paddr, size);
-        LineAccess access = l1d_.readLineFast(paddr);
-        cycles += access.cycles;
+        const mem::TaggedLine &line =
+            l1d_.read(paddr, l1dHandle(paddr, hint), cycles);
         std::uint64_t offset = paddr % mem::kLineBytes;
         std::uint64_t value = 0;
         for (unsigned i = 0; i < size; ++i) {
-            value |= static_cast<std::uint64_t>(
-                         access.line->data[offset + i])
+            value |= static_cast<std::uint64_t>(line.data[offset + i])
                      << (8 * i);
         }
         maybeDrainPrefetch(); // after the line bytes are consumed
@@ -193,14 +173,15 @@ class CacheHierarchy : private FillListener
      * tag of the containing line — the architectural guarantee that
      * data writes cannot forge capabilities.
      */
-    void
+    CHERI_FORCE_INLINE void
     write(std::uint64_t paddr, unsigned size, std::uint64_t value,
-          std::uint64_t &cycles)
+          std::uint64_t &cycles, Cache::LineHandle *hint = nullptr)
     {
         checkContained(paddr, size);
         // Combined read-modify-write: same simulated effects as a
-        // readLine followed by a writeLine of the modified copy.
-        mem::TaggedLine &line = l1d_.storeAccessFast(paddr, cycles);
+        // line read followed by a write of the modified copy.
+        mem::TaggedLine &line =
+            l1d_.store(paddr, l1dHandle(paddr, hint), cycles);
         std::uint64_t offset = paddr % mem::kLineBytes;
         for (unsigned i = 0; i < size; ++i)
             line.data[offset + i] =
@@ -209,77 +190,35 @@ class CacheHierarchy : private FillListener
         maybeDrainPrefetch();
     }
 
-    // --- data fast path (see DESIGN.md §9) ---
-    //
-    // Handle-validated L1D short-circuits for the CPU's data memo.
-    // Each replays *exactly* what the corresponding slow entry does
-    // on an L1D hit — stats, LRU, latency, tag semantics, fetch
-    // coherence, fault injection, store observer — or touches nothing
-    // and returns failure when the handle went stale, so the caller
-    // can take the full path with no effects double-counted.
-
-    /** Fast read(): load 1/2/4/8 naturally aligned bytes. */
-    bool
-    readFast(const cache::Cache::LineHandle &handle, std::uint64_t paddr,
-             unsigned size, std::uint64_t &value, std::uint64_t &cycles)
+    /** Capability load: the full 257-bit line (CLC). */
+    mem::TaggedLine
+    readCapLine(std::uint64_t paddr, std::uint64_t &cycles,
+                Cache::LineHandle *hint = nullptr)
     {
-        const mem::TaggedLine *line = l1d_.readHitFast(handle, cycles);
-        if (line == nullptr)
-            return false;
-        std::uint64_t offset = paddr % mem::kLineBytes;
-        value = 0;
-        for (unsigned i = 0; i < size; ++i) {
-            value |= static_cast<std::uint64_t>(line->data[offset + i])
-                     << (8 * i);
-        }
-        return true;
+        if (paddr % mem::kLineBytes != 0)
+            unalignedCapPanic(paddr, "load");
+        mem::TaggedLine copy =
+            l1d_.read(paddr, l1dHandle(paddr, hint), cycles);
+        maybeDrainPrefetch(); // after the copy: the drain may evict the way
+        return copy;
     }
 
-    /** Fast write(): store 1/2/4/8 naturally aligned bytes. */
-    bool
-    writeFast(const cache::Cache::LineHandle &handle, std::uint64_t paddr,
-              unsigned size, std::uint64_t value, std::uint64_t &cycles)
+    /** Capability store: full line plus tag (CSC). */
+    void
+    writeCapLine(std::uint64_t paddr, const mem::TaggedLine &line,
+                 std::uint64_t &cycles, Cache::LineHandle *hint = nullptr)
     {
-        mem::TaggedLine *line = l1d_.storeHitFast(handle, cycles);
-        if (line == nullptr)
-            return false;
-        std::uint64_t offset = paddr % mem::kLineBytes;
-        for (unsigned i = 0; i < size; ++i)
-            line->data[offset + i] =
-                static_cast<std::uint8_t>(value >> (8 * i));
-        finishDataStore(*line, paddr);
-        return true;
-    }
-
-    /** Fast readCapLine(): the full 257-bit line (CLC). */
-    const mem::TaggedLine *
-    readCapLineFast(const cache::Cache::LineHandle &handle,
-                    std::uint64_t &cycles)
-    {
-        return l1d_.readHitFast(handle, cycles);
-    }
-
-    /** Fast writeCapLine(): full line plus tag (CSC). */
-    bool
-    writeCapLineFast(const cache::Cache::LineHandle &handle,
-                     std::uint64_t paddr, const mem::TaggedLine &line,
-                     std::uint64_t &cycles)
-    {
-        if (!l1d_.writeLineHitFast(handle, line, cycles))
-            return false;
+        if (paddr % mem::kLineBytes != 0)
+            unalignedCapPanic(paddr, "store");
+        l1d_.write(paddr, l1dHandle(paddr, hint), cycles) = line;
         noteCodeWriteFiltered(paddr);
         if (store_hooks_armed_ && store_observer_ != nullptr)
             store_observer_->onLineWritten(paddr);
-        return true;
+        // Write allocations never trigger prefetch on their own cache,
+        // but an L1D write-allocate miss pulls the old line through the
+        // L2 — that L2 demand fill can queue.
+        maybeDrainPrefetch();
     }
-
-    /** Capability load: the full 257-bit line (CLC). */
-    mem::TaggedLine readCapLine(std::uint64_t paddr,
-                                std::uint64_t &cycles);
-
-    /** Capability store: full line plus tag (CSC). */
-    void writeCapLine(std::uint64_t paddr, const mem::TaggedLine &line,
-                      std::uint64_t &cycles);
 
     /** Write back and invalidate everything (used by tests). */
     void flushAll();
@@ -307,9 +246,6 @@ class CacheHierarchy : private FillListener
     {
         prefetch_phys_limit_ = bytes;
     }
-
-    /** The active prefetch configuration. */
-    const PrefetchConfig &prefetchConfig() const { return prefetch_; }
 
     /** DRAM line transactions so far (memory-traffic metric). */
     std::uint64_t dramTransactions() const { return dram_.transactions(); }
@@ -402,6 +338,14 @@ class CacheHierarchy : private FillListener
             store_observer_ != nullptr || suppress_store_tag_clear_;
     }
 
+    /** The L1D handle a data access goes through: the caller's, else
+     *  the L1D's own memo slot for the line. */
+    Cache::LineHandle &
+    l1dHandle(std::uint64_t paddr, Cache::LineHandle *hint)
+    {
+        return hint != nullptr ? *hint : l1d_.memoFor(paddr);
+    }
+
     void
     checkContained(std::uint64_t paddr, unsigned size) const
     {
@@ -412,6 +356,8 @@ class CacheHierarchy : private FillListener
 
     [[noreturn]] void straddlePanic(std::uint64_t paddr,
                                     unsigned size) const;
+    [[noreturn]] void unalignedCapPanic(std::uint64_t paddr,
+                                        const char *kind) const;
 
     /**
      * Fetch-side half of fetch coherence (cold path of fetchLine): if
@@ -478,9 +424,7 @@ class CacheHierarchy : private FillListener
     /**
      * Issue queued prefetch triggers. Called at the end of every
      * public operation that can miss; the queue is empty at every
-     * operation boundary, so forks/rollbacks need no prefetch state
-     * and the fast-path replays (hits only — they can never enqueue)
-     * need no drain hook.
+     * operation boundary, so forks/rollbacks need no prefetch state.
      */
     void maybeDrainPrefetch()
     {
@@ -503,8 +447,8 @@ class CacheHierarchy : private FillListener
     bool in_prefetch_ = false;
     /** One queued demand-fill trigger (line content copied at fill
      *  time, before the demand store that may have caused it mutates
-     *  the line — deterministic at every host tier because fast-path
-     *  replays are hits and never reach here). */
+     *  the line — deterministic at every host tier because only the
+     *  fills, which no handle can skip, reach here). */
     struct PendingTrigger
     {
         Cache *cache;

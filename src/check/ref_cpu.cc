@@ -703,6 +703,9 @@ RefCpu::executeCapMemory(const Instruction &inst)
             memory_.writeCapLine(paddr,
                                  mem::TaggedLine{src.raw(), src.tag()});
             noteWrite(paddr);
+            // A CSC breaks a reservation anywhere in the line it writes.
+            if (ll_valid_ && (ll_addr_ & ~(mem::kLineBytes - 1ULL)) == paddr)
+                ll_valid_ = false;
         } else {
             mem::TaggedLine line = memory_.readCapLine(paddr);
             caps_.write(inst.cd,

@@ -193,60 +193,27 @@ Cpu::onCodeLineModified(std::uint64_t line_paddr)
     }
 }
 
-// --- data fast path ---
+// --- data path ---
 //
-// The memo stands in for the TLB and hierarchy walks of a checked,
-// aligned access (CpuExec::access). This probe validates host-side
-// state with no simulated effects; the caller then moves the data
-// through the hierarchy's handle-validated L1D entry points, and only
-// once that hit is proven replays the TLB hit (stat bump + LRU move via
-// replayHit). The cycle formula is the slow path's verbatim: TLB hit
-// penalty is zero, and of the mem_cycles only the stall beyond the
-// one-cycle base CPI is charged.
+// Every load and store translates through translateData and moves its
+// data through CpuExec::transfer; above kReference both go through the
+// data memo's handles for the line (DESIGN.md §9). The cycle formula is
+// the same at every tier: the TLB refill penalty, and of the
+// hierarchy's cycles only the stall beyond the one-cycle base CPI.
 
 template <tlb::Access kAccess>
-CHERI_FORCE_INLINE const Cpu::DataMemoEntry *
-Cpu::probeDataMemo(std::uint64_t vaddr) const
+CHERI_FORCE_INLINE bool
+Cpu::translateData(std::uint64_t vaddr, unsigned cap_index,
+                   std::uint64_t &paddr_out, tlb::Tlb::Handle *hint)
 {
-    std::uint64_t vline = vaddr >> cache::kLineShift;
-    const DataMemoEntry &entry = data_memo_[dataMemoIndex(vline)];
-    if (entry.vline != vline ||
-        entry.hint.generation != tlb_.generation())
-        return nullptr;
-    // The PTE bits Tlb::translate would check for this access.
-    const tlb::PteFlags &pte = entry.hint.flags;
-    bool granted = false;
-    switch (kAccess) {
-      case tlb::Access::kLoad:
-        granted = pte.readable;
-        break;
-      case tlb::Access::kStore:
-        granted = pte.writable;
-        break;
-      case tlb::Access::kCapLoad:
-        granted = pte.readable && pte.cap_load;
-        break;
-      case tlb::Access::kCapStore:
-        granted = pte.writable && pte.cap_store;
-        break;
-      case tlb::Access::kFetch:
-        break;
+    tlb::TlbResult result = tlb_.translate(vaddr, kAccess, hint);
+    cycles_ += result.penalty_cycles;
+    if (!result.ok()) {
+        raiseTlbFault(result.fault, kAccess, vaddr, cap_index);
+        return false;
     }
-    return granted ? &entry : nullptr;
-}
-
-void
-Cpu::mintDataMemo(std::uint64_t vaddr, std::uint64_t paddr)
-{
-    std::uint64_t vline = vaddr >> cache::kLineShift;
-    DataMemoEntry &entry = data_memo_[dataMemoIndex(vline)];
-    entry.vline = ~0ULL;
-    if (!tlb_.probeDataHint(vaddr, entry.hint))
-        return;
-    if (!memory_.l1d().probeHandle(paddr, entry.l1d))
-        return;
-    entry.paddr_line = paddr & ~(mem::kLineBytes - 1ULL);
-    entry.vline = vline;
+    paddr_out = result.paddr;
+    return true;
 }
 
 CHERI_FORCE_INLINE void
@@ -310,19 +277,13 @@ Cpu::branchTo(std::uint64_t target)
     branch_pending_ = true;
 }
 
-bool
-Cpu::translateData(std::uint64_t vaddr, tlb::Access access,
-                   unsigned cap_index, std::uint64_t &paddr_out)
+void
+Cpu::raiseTlbFault(tlb::TlbFault fault, tlb::Access access,
+                   std::uint64_t vaddr, unsigned cap_index)
 {
-    tlb::TlbResult result = tlb_.translate(vaddr, access);
-    cycles_ += result.penalty_cycles;
-    if (result.ok()) {
-        paddr_out = result.paddr;
-        return true;
-    }
     bool is_store = access == tlb::Access::kStore ||
                     access == tlb::Access::kCapStore;
-    switch (result.fault) {
+    switch (fault) {
       case tlb::TlbFault::kNoMapping:
       case tlb::TlbFault::kNotReadable:
         raise(is_store ? ExcCode::kTlbStore : ExcCode::kTlbLoad, vaddr);
@@ -342,7 +303,6 @@ Cpu::translateData(std::uint64_t vaddr, tlb::Access access,
         raise(ExcCode::kTlbLoad, vaddr);
         break;
     }
-    return false;
 }
 
 Cpu::StepOutcome
@@ -379,9 +339,8 @@ Cpu::step()
         outcome.trapped = true;
         return outcome;
     }
-    tlb::TlbResult fetch_tr =
-        fastPaths() ? tlb_.translateFetch(pc_, fetch_hint_)
-                    : tlb_.translate(pc_, tlb::Access::kFetch);
+    tlb::TlbResult fetch_tr = tlb_.translate(
+        pc_, tlb::Access::kFetch, fastPaths() ? &fetch_hint_ : nullptr);
     cycles_ += fetch_tr.penalty_cycles;
     if (!fetch_tr.ok()) {
         raise(ExcCode::kTlbLoad, pc_);
@@ -527,7 +486,7 @@ Cpu::copyStateFrom(const Cpu &other)
     // let the slow paths re-mint. Each replays identical simulated
     // effects, so this cannot perturb counters.
     ++decode_generation_;
-    fetch_hint_ = tlb::Tlb::FetchHint{};
+    fetch_hint_ = tlb::Tlb::Handle{};
     invalidateDataMemo();
     invalidateSuperblocks();
     sb_pending_leader_ = ~0ULL;
@@ -553,8 +512,7 @@ Cpu::injectMemoSkew(std::uint64_t pick)
     std::vector<std::size_t> live;
     for (std::size_t i = 0; i < data_memo_.size(); ++i) {
         const DataMemoEntry &entry = data_memo_[i];
-        if (entry.vline != ~0ULL &&
-            entry.hint.generation == tlb_.generation() &&
+        if (entry.vline != ~0ULL && tlb_.current(entry.page) &&
             memory_.l1d().handleValid(entry.l1d)) {
             live.push_back(i);
         }
@@ -562,6 +520,10 @@ Cpu::injectMemoSkew(std::uint64_t pick)
     if (live.empty())
         return false;
     DataMemoEntry &victim = data_memo_[live[pick % live.size()]];
+    // The line the entry's translation reaches.
+    std::uint64_t victim_line =
+        victim.page.frame_base +
+        ((victim.vline << cache::kLineShift) & (tlb::kPageBytes - 1));
 
     std::vector<std::uint64_t> resident = memory_.l1d().residentLines();
     if (resident.size() < 2)
@@ -569,7 +531,7 @@ Cpu::injectMemoSkew(std::uint64_t pick)
     std::size_t start = (pick / live.size()) % resident.size();
     for (std::size_t i = 0; i < resident.size(); ++i) {
         std::uint64_t line = resident[(start + i) % resident.size()];
-        if (line == victim.paddr_line)
+        if (line == victim_line)
             continue;
         cache::Cache::LineHandle handle;
         if (memory_.l1d().probeHandle(line, handle)) {
@@ -966,9 +928,9 @@ struct CpuExec
 
     /**
      * The one load/store body, instantiated per data-memory opcode:
-     * capability check, alignment, TLB, hierarchy (cpu.h), with the
-     * data memo standing in for the last two above kReference
-     * (DESIGN.md §9). Legacy ops address through C0 (Section 4.1).
+     * capability check, alignment, TLB, hierarchy (cpu.h), the last
+     * two through the data memo's handles above kReference (DESIGN.md
+     * §9). Legacy ops address through C0 (Section 4.1).
      */
     template <Opcode kOp>
     static CHERI_FORCE_INLINE void access(Cpu &c, const Instruction &i)
@@ -1005,101 +967,129 @@ struct CpuExec
             return;
         }
 
-        // LL/SC always walk and never mint: they are rare, and the
-        // memo's live entries are what injectMemoSkew can reach.
-        std::uint64_t paddr = 0;
-        std::uint64_t mem_cycles = 0;
-        const Cpu::DataMemoEntry *memo = nullptr;
+        // A memo hit moves the access through the entry's handles;
+        // everything else walks.
         if constexpr (!Op::kLinked) {
-            if (c.fastPaths())
-                memo = c.probeDataMemo<Op::kAccess>(vaddr);
-        }
-        if (memo != nullptr) {
-            paddr = memo->paddr_line | (vaddr & (mem::kLineBytes - 1));
-            if (transfer<kOp>(c, i, memo, paddr, mem_cycles))
-                c.tlb_.replayHit(memo->hint);
-            else
-                memo = nullptr; // the line left the L1D: walk instead
-        }
-        if (memo == nullptr) {
-            if (!c.translateData(vaddr, Op::kAccess, cb, paddr))
+            if (c.fastPaths()) {
+                std::uint64_t vline = vaddr >> cache::kLineShift;
+                Cpu::DataMemoEntry &entry =
+                    c.data_memo_[Cpu::dataMemoIndex(vline)];
+                if (entry.vline != vline) {
+                    walk<kOp>(c, i, vaddr, cb, &entry);
+                    return;
+                }
+                // A re-minted translation may name another frame, so
+                // the line handle goes with a stale TLB handle.
+                bool stale = !c.tlb_.current(entry.page);
+                std::uint64_t paddr = 0;
+                if (!c.translateData<Op::kAccess>(vaddr, cb, paddr,
+                                                  &entry.page))
+                    return;
+                if (stale)
+                    entry.l1d = cache::Cache::LineHandle{};
+                std::uint64_t mem_cycles = 0;
+                transfer<kOp>(c, i, paddr, mem_cycles, &entry.l1d);
+                settle<kOp>(c, paddr, mem_cycles);
                 return;
-            if constexpr (!Op::kLinked) {
-                transfer<kOp>(c, i, nullptr, paddr, mem_cycles);
-                if (c.fastPaths())
-                    c.mintDataMemo(vaddr, paddr);
-            } else if constexpr (!Op::kStore) {
-                transfer<kOp>(c, i, nullptr, paddr, mem_cycles);
-                c.ll_valid_ = true;
-                c.ll_addr_ = paddr;
-            } else {
-                // SC stores only while the reservation holds, and
-                // reports which.
-                bool held = c.ll_valid_ && c.ll_addr_ == paddr;
-                if (held)
-                    transfer<kOp>(c, i, nullptr, paddr, mem_cycles);
-                c.setGpr(Op::data(i), held ? 1 : 0);
-                c.ll_valid_ = false;
             }
         }
+        walk<kOp>(c, i, vaddr, cb, nullptr);
+    }
+
+    /**
+     * The rest of access<kOp> when the data memo holds no entry for the
+     * line: the reference tier and LL/SC (entry null; they never
+     * memoize, and the memo's live entries are what injectMemoSkew can
+     * reach) and a memo miss, which runs on fresh handles and writes
+     * entry only once the access has succeeded.
+     */
+    template <Opcode kOp>
+    static CHERI_FORCE_INLINE void
+    walk(Cpu &c, const Instruction &i, std::uint64_t vaddr, unsigned cb,
+         Cpu::DataMemoEntry *entry)
+    {
+        using Op = MemOp<kOp>;
+        tlb::Tlb::Handle page;
+        cache::Cache::LineHandle l1d;
+        std::uint64_t paddr = 0;
+        std::uint64_t mem_cycles = 0;
+        if (!c.translateData<Op::kAccess>(vaddr, cb, paddr,
+                                          entry != nullptr ? &page
+                                                           : nullptr))
+            return;
+        if constexpr (!Op::kLinked) {
+            transfer<kOp>(c, i, paddr, mem_cycles,
+                          entry != nullptr ? &l1d : nullptr);
+            if (entry != nullptr) {
+                entry->vline = vaddr >> cache::kLineShift;
+                entry->page = page;
+                entry->l1d = l1d;
+            }
+        } else if constexpr (!Op::kStore) {
+            transfer<kOp>(c, i, paddr, mem_cycles);
+            c.ll_valid_ = true;
+            c.ll_addr_ = paddr;
+        } else {
+            // SC stores only while the reservation holds, and reports
+            // which.
+            bool held = c.ll_valid_ && c.ll_addr_ == paddr;
+            if (held)
+                transfer<kOp>(c, i, paddr, mem_cycles);
+            c.setGpr(Op::data(i), held ? 1 : 0);
+            c.ll_valid_ = false;
+        }
+        settle<kOp>(c, paddr, mem_cycles);
+    }
+
+    /** Charge the hierarchy's stall beyond the base CPI; a store breaks
+     *  the reservation on the paddr it writes, a CSC anywhere in its
+     *  line. */
+    template <Opcode kOp>
+    static CHERI_FORCE_INLINE void
+    settle(Cpu &c, std::uint64_t paddr, std::uint64_t mem_cycles)
+    {
+        using Op = MemOp<kOp>;
         c.cycles_ += mem_cycles > 0 ? mem_cycles - 1 : 0;
-        // Any scalar store to the reserved paddr breaks the reservation.
-        if constexpr (Op::kStore && !Op::kLine) {
-            if (c.ll_valid_ && c.ll_addr_ == paddr)
+        if constexpr (Op::kStore) {
+            std::uint64_t reserved =
+                Op::kLine ? c.ll_addr_ & ~(mem::kLineBytes - 1ULL)
+                          : c.ll_addr_;
+            if (c.ll_valid_ && reserved == paddr)
                 c.ll_valid_ = false;
         }
     }
 
     /**
-     * Moves kOp's data between paddr and its register: through the
-     * memo's L1D handle when memo is set (false, with no effects
-     * applied, when the line left the L1D), else through the full
-     * hierarchy walk. A load writes its register only once it hit.
+     * Moves kOp's data between paddr and its register through the
+     * hierarchy, and through the caller's L1D handle when it holds one.
      */
     template <Opcode kOp>
-    static CHERI_FORCE_INLINE bool
-    transfer(Cpu &c, const Instruction &i, const Cpu::DataMemoEntry *memo,
-             std::uint64_t paddr, std::uint64_t &mem_cycles)
+    static CHERI_FORCE_INLINE void
+    transfer(Cpu &c, const Instruction &i, std::uint64_t paddr,
+             std::uint64_t &mem_cycles,
+             cache::Cache::LineHandle *l1d = nullptr)
     {
         using Op = MemOp<kOp>;
         cache::CacheHierarchy &memory = c.memory_;
         if constexpr (Op::kLine && Op::kStore) {
             const cap::Capability &src = c.caps_.read(i.cd);
-            mem::TaggedLine line{src.raw(), src.tag()};
-            if (memo != nullptr)
-                return memory.writeCapLineFast(memo->l1d, paddr, line,
-                                               mem_cycles);
-            memory.writeCapLine(paddr, line, mem_cycles);
+            memory.writeCapLine(paddr, mem::TaggedLine{src.raw(), src.tag()},
+                                mem_cycles, l1d);
         } else if constexpr (Op::kLine) {
-            mem::TaggedLine walked;
-            const mem::TaggedLine *line = &walked;
-            if (memo != nullptr)
-                line = memory.readCapLineFast(memo->l1d, mem_cycles);
-            else
-                walked = memory.readCapLine(paddr, mem_cycles);
-            if (line == nullptr)
-                return false;
+            mem::TaggedLine line = memory.readCapLine(paddr, mem_cycles, l1d);
             c.caps_.write(i.cd,
-                          cap::Capability::fromRaw(line->data, line->tag));
+                          cap::Capability::fromRaw(line.data, line.tag));
         } else if constexpr (Op::kStore) {
-            std::uint64_t value = c.gpr_[Op::data(i)];
-            if (memo != nullptr)
-                return memory.writeFast(memo->l1d, paddr, Op::kSize, value,
-                                        mem_cycles);
-            memory.write(paddr, Op::kSize, value, mem_cycles);
+            memory.write(paddr, Op::kSize, c.gpr_[Op::data(i)], mem_cycles,
+                         l1d);
         } else {
-            std::uint64_t value = 0;
-            if (memo == nullptr)
-                value = memory.read(paddr, Op::kSize, mem_cycles);
-            else if (!memory.readFast(memo->l1d, paddr, Op::kSize, value,
-                                      mem_cycles))
-                return false;
+            std::uint64_t value =
+                memory.read(paddr, Op::kSize, mem_cycles, l1d);
             if constexpr (Op::kSignExtend)
                 value = static_cast<std::uint64_t>(
                     signExtend(value, Op::kSize * 8));
             c.setGpr(Op::data(i), value);
         }
-        return true;
     }
 
     // --- CP2: every CHERI opcode but the loads and stores ---
@@ -1248,15 +1238,14 @@ bool
 Cpu::superblockGuardsHold(Superblock &sb)
 {
     // Translation guard: the block's page must still be cached with
-    // the same frame. The stream hint may legitimately point at a
+    // the same frame. The stream handle may legitimately point at a
     // different page (the last fetch crossed away); re-probe purely
     // before declaring the block stale.
-    if (fetch_hint_.generation != tlb_.generation() ||
-        fetch_hint_.vpn != sb.vpn) {
-        if (!tlb_.probeFetchHint(pc_, fetch_hint_))
+    if (!tlb_.current(fetch_hint_) || fetch_hint_.vpn != sb.vpn) {
+        if (!tlb_.probe(pc_, tlb::Access::kFetch, fetch_hint_))
             return false;
     }
-    if (fetch_hint_.paddr_base != sb.paddr_base)
+    if (fetch_hint_.frame_base != sb.paddr_base)
         return false; // page remapped since mint
 
     // Stamp fast path: every decode-entry mutation (refill, SMC
@@ -1290,9 +1279,8 @@ Cpu::mintSuperblock(Superblock &sb)
         return false;
 
     std::uint64_t vpn = pc_ / tlb::kPageBytes;
-    if (fetch_hint_.generation != tlb_.generation() ||
-        fetch_hint_.vpn != vpn) {
-        if (!tlb_.probeFetchHint(pc_, fetch_hint_))
+    if (!tlb_.current(fetch_hint_) || fetch_hint_.vpn != vpn) {
+        if (!tlb_.probe(pc_, tlb::Access::kFetch, fetch_hint_))
             return false;
     }
     std::uint64_t page_base = vpn * tlb::kPageBytes;
@@ -1303,7 +1291,7 @@ Cpu::mintSuperblock(Superblock &sb)
     // when the line is cold or stale: the block simply ends there —
     // minting never fetches, so it has zero simulated effects.
     auto lookup = [&](std::uint64_t va) -> const Instruction * {
-        std::uint64_t paddr = fetch_hint_.paddr_base + (va - page_base);
+        std::uint64_t paddr = fetch_hint_.frame_base + (va - page_base);
         std::uint64_t line = paddr & ~(mem::kLineBytes - 1ULL);
         std::size_t index = decodeIndex(line);
         const DecodedLine &entry = decode_cache_[index];
@@ -1327,7 +1315,7 @@ Cpu::mintSuperblock(Superblock &sb)
             break;
         if (isa::superblockBody(inst->op)) {
             sb.slots.push_back(
-                {*inst, fetch_hint_.paddr_base + (va - page_base)});
+                {*inst, fetch_hint_.frame_base + (va - page_base)});
             sb.slots.back().full = !isa::superblockSimple(inst->op);
             va_lo = std::min(va_lo, va);
             va_hi = std::max(va_hi, va);
@@ -1341,10 +1329,10 @@ Cpu::mintSuperblock(Superblock &sb)
             const Instruction *delay = lookup(va + 4);
             if (delay != nullptr && isa::superblockBody(delay->op)) {
                 sb.slots.push_back(
-                    {*inst, fetch_hint_.paddr_base + (va - page_base)});
+                    {*inst, fetch_hint_.frame_base + (va - page_base)});
                 sb.slots.push_back(
                     {*delay,
-                     fetch_hint_.paddr_base + (va + 4 - page_base)});
+                     fetch_hint_.frame_base + (va + 4 - page_base)});
                 sb.slots.back().is_delay = true;
                 va_lo = std::min(va_lo, va);
                 va_hi = std::max(va_hi, va + 4);
@@ -1400,8 +1388,8 @@ Cpu::mintSuperblock(Superblock &sb)
     }
     sb.start_vaddr = pc_;
     sb.vpn = vpn;
-    sb.paddr_base = fetch_hint_.paddr_base;
-    sb.va_delta = page_base - fetch_hint_.paddr_base;
+    sb.paddr_base = fetch_hint_.frame_base;
+    sb.va_delta = page_base - fetch_hint_.frame_base;
     sb.va_lo = va_lo;
     sb.va_hi = va_hi + 4;
     // The lookups above read the live decode entries, so the line
@@ -1425,7 +1413,8 @@ Cpu::executeSuperblock(Superblock &sb, const RunLimits &limits,
     //    once, so one counter serves all three).
     //  - l1i_hits: repeat fetches of the current line; settled (stat
     //    + one LRU touch + hit-stall cycles) at line changes and at
-    //    exit. Only the first fetch of each line walks fetchLine.
+    //    exit. Only the first fetch of each line walks fetchLine,
+    //    which hands back the L1I handle the batch settles through.
     // Correct because everything mid-block only ADDS to instructions_
     // and cycles_ (handler latencies commute with the deferred adds)
     // and every read — bounded budget compares, chain seams, run()
@@ -1478,10 +1467,10 @@ Cpu::executeSuperblock(Superblock &sb, const RunLimits &limits,
         // precomputed physical address. The translation re-checks run
         // only where a preceding instruction could have perturbed the
         // TLB (slot->tlb_check); a data-side refill can evict the
-        // hinted entry and bump the generation, in which case exit
-        // with no effects applied so step() re-translates exactly.
+        // fetch handle's entry and bump the generation, in which case
+        // exit with no effects applied so step() re-translates exactly.
         if (slot->tlb_check) {
-            if (fetch_hint_.generation != tlb_.generation()) {
+            if (!tlb_.current(fetch_hint_)) {
                 // No effects applied for this slot, so the commit
                 // boundary is the previous slot: reconstruct the PC
                 // state if that slot's dispatch deferred it. The
@@ -1497,7 +1486,7 @@ Cpu::executeSuperblock(Superblock &sb, const RunLimits &limits,
                 }
                 break;
             }
-            tlb_.replayFetchHitLru(fetch_hint_);
+            tlb_.touch(fetch_hint_);
         }
         std::uint64_t slot_line = slot->paddr & ~(mem::kLineBytes - 1ULL);
         if (slot_line == cur_line) {
@@ -1507,8 +1496,7 @@ Cpu::executeSuperblock(Superblock &sb, const RunLimits &limits,
             cycles_ += l1i_hits * sb_hit_stall_;
             l1i_hits = 0;
             std::uint64_t fetch_cycles = 0;
-            memory_.fetchLineHandle(slot->paddr, fetch_cycles,
-                                    l1i_handle);
+            memory_.fetchLine(slot->paddr, fetch_cycles, &l1i_handle);
             cycles_ += fetch_cycles > 0 ? fetch_cycles - 1 : 0;
             cur_line = slot_line;
         }
@@ -1650,7 +1638,7 @@ Cpu::executeSuperblock(Superblock &sb, const RunLimits &limits,
     instructions_ += retired;
     cycles_ += retired + l1i_hits * sb_hit_stall_;
     memory_.applyDeferredFetchHits(l1i_handle, l1i_hits);
-    tlb_.applyDeferredFetchHits(retired);
+    tlb_.countHits(retired);
 
     // Host-side observability only, so one batched add at exit.
     sb_stats_.instructions += instructions_ - entry_insts;

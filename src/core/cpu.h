@@ -65,8 +65,8 @@ enum class HostTier
      *  the fuzz oracle's second pass runs at. */
     kReference,
     /** The per-instruction fast paths: the fetch fast path (TLB
-     *  fetch hint + predecoded-instruction cache) and the data fast
-     *  path (translation memo + L1D-hit short-circuit, §9). */
+     *  fetch handle + predecoded-instruction cache) and the data fast
+     *  path (a memo of TLB and L1D handles per virtual line, §9). */
     kFast,
     /** kFast plus superblock dispatch: chained straight-line blocks
      *  of predecoded instructions (§12). */
@@ -188,25 +188,26 @@ struct SyscallAction
  *
  * The fetch fast path: the CPU keeps a direct-mapped cache of
  * predecoded instruction lines keyed by physical line address, plus a
- * TLB fetch hint, so the hot loop skips the per-instruction hash
- * lookups, byte reassembly, and decode. Every simulated effect of the
- * simple path (TLB stats and LRU, one L1I line access per fetch,
- * penalty cycles) is replayed exactly, so cycle counts and stats are
- * bit-identical at every HostTier — only host throughput changes.
- * Stores into cached lines invalidate the stale decodes via the
- * hierarchy's FetchInvalidationListener hook, so self-modifying code
- * decodes fresh bytes at every tier. A kReference core keeps no
- * decodes and so registers no listener.
+ * TLB handle for the fetch stream, so the hot loop skips the
+ * per-instruction hash lookups, byte reassembly, and decode. Every
+ * simulated effect of the simple path (TLB stats and LRU, one L1I line
+ * access per fetch, penalty cycles) is replayed exactly, so cycle
+ * counts and stats are bit-identical at every HostTier — only host
+ * throughput changes. Stores into cached lines invalidate the stale
+ * decodes via the hierarchy's FetchInvalidationListener hook, so
+ * self-modifying code decodes fresh bytes at every tier. A kReference
+ * core keeps no decodes and so registers no listener.
  *
  * The data fast path mirrors that design for loads and stores: a
- * direct-mapped memo keyed by virtual line fuses the TLB translation
- * (with a PTE permission snapshot) and a host pointer to the line's
- * resident L1D way, so a checked, aligned access that hits the memo
- * skips the TLB walk and the full CacheHierarchy walk while replaying
- * every simulated effect — TLB hit stat and LRU, L1D hit/LRU/latency,
- * tag-clearing store semantics, fault injection, fetch coherence, and
- * the store observer — bit-identically. See DESIGN.md §9. Both fast
- * paths run at HostTier::kFast and above.
+ * direct-mapped memo keyed by virtual line holds a TLB handle and an
+ * L1D line handle per line, and every load and store above
+ * kReference translates and accesses through them. A valid handle
+ * replays its structure's hit in line — TLB hit stat and LRU, L1D
+ * hit/LRU/latency — and a stale one takes that structure's full path
+ * and is refreshed in place, so tag-clearing store semantics, fault
+ * injection, fetch coherence, and the store observer run exactly as
+ * without a memo. See DESIGN.md §9. Both fast paths run at
+ * HostTier::kFast and above.
  */
 class Cpu : private cache::FetchInvalidationListener
 {
@@ -281,19 +282,6 @@ class Cpu : private cache::FetchInvalidationListener
     }
 
     /**
-     * Drop every data-memo entry. Never required for correctness —
-     * entries revalidate their TLB generation and L1D residency on
-     * every use, and the memoized line pointer reads the same L1D
-     * storage the slow path does — but exposed for tests and for
-     * symmetry with invalidateDecodeCache.
-     */
-    void invalidateDataMemo()
-    {
-        for (DataMemoEntry &entry : data_memo_)
-            entry.vline = ~0ULL;
-    }
-
-    /**
      * Drop every superblock (counts them as invalidated). Like the
      * other host accelerators this is never required for correctness
      * — stale blocks fail their entry guards — but copyStateFrom()
@@ -335,7 +323,7 @@ class Cpu : private cache::FetchInvalidationListener
      * CpuAccelConfig and timing): full architectural state, the
      * timing-visible microarchitectural state (branch predictor, LL/SC
      * monitor, in-flight delay-slot/PCC-swap/trap bookkeeping) and the
-     * counters. Host-only accelerators (decode cache, fetch hint, data
+     * counters. Host-only accelerators (decode cache, fetch handle, data
      * memo, superblocks, PCC window) are not copied: this core's own
      * are dropped and re-mint through slow paths that replay identical
      * simulated effects.
@@ -449,7 +437,7 @@ class Cpu : private cache::FetchInvalidationListener
      * branches (flagged delay slots exit at run time when the branch
      * was taken) and through direct jumps (J/JAL), whose targets are
      * fixed by the pinned instruction bytes and so need no run-time
-     * check at all. The guard set (start pc, fetch-hint page
+     * check at all. The guard set (start pc, fetch-handle page
      * translation, per-line mint ids) pins down everything its
      * precomputed slots assumed; entry re-checks all of it and falls
      * back to the per-instruction path the moment anything moved.
@@ -498,7 +486,7 @@ class Cpu : private cache::FetchInvalidationListener
     bool mintSuperblock(Superblock &sb);
 
     /** Pure entry-guard check for a block whose start matches pc_
-     *  (may re-probe the fetch hint — host state only, no simulated
+     *  (may re-probe the fetch handle — host state only, no simulated
      *  effects). */
     bool superblockGuardsHold(Superblock &sb);
 
@@ -516,25 +504,24 @@ class Cpu : private cache::FetchInvalidationListener
     static constexpr std::size_t kDataMemoLines = 1024;
 
     /**
-     * One memoized data line: the virtual→physical translation memo
-     * (a TLB hint with the PTE permission snapshot) fused with the
-     * host line-pointer cache (a revalidated-on-use handle to the
-     * line's resident L1D way). An entry is trusted only when its
-     * virtual line matches, the TLB generation is unchanged (any TLB
-     * write/flush or address-space switch bumps it), the PTE grants
-     * the access kind, and the L1D way still holds the line — so
-     * stale entries cost one failed compare chain and fall back to
-     * the full path with no effects applied. An entry is 64 bytes and
-     * aligned to match, so a probe touches one host cache line
-     * wherever the allocator places the memo.
+     * One memoized data line: a TLB handle for its page and an L1D
+     * handle for its physical line, the shortcuts every access to the
+     * line translates and moves its data through. Each handle replays
+     * its structure's hit while valid and is refreshed in place by the
+     * slow path otherwise (DESIGN.md §9); the L1D handle is dropped
+     * whenever the TLB handle is re-minted, since the new translation
+     * may name another frame. An entry is written only by an access
+     * that succeeded. 64 bytes and aligned to match, so a lookup
+     * touches one host cache line wherever the allocator places the
+     * memo.
      */
     struct alignas(64) DataMemoEntry
     {
         std::uint64_t vline = ~0ULL; ///< vaddr >> cache::kLineShift
-        std::uint64_t paddr_line = 0;
-        tlb::Tlb::DataHint hint;
+        tlb::Tlb::Handle page;
         cache::Cache::LineHandle l1d;
     };
+    static_assert(sizeof(DataMemoEntry) == 64);
 
     static std::size_t dataMemoIndex(std::uint64_t vline)
     {
@@ -542,16 +529,15 @@ class Cpu : private cache::FetchInvalidationListener
     }
 
     /**
-     * The memo entry for vaddr when it may stand in for a kAccess
-     * translation: same virtual line, unchanged TLB generation, and a
-     * PTE snapshot that grants the access. Pure host-side probe; on
-     * nullptr the caller walks the TLB with no effects applied.
+     * Drop every data-memo entry. Never required for correctness —
+     * entries revalidate both handles on every use — but
+     * copyStateFrom uses it so forks and rollbacks carry no memo.
      */
-    template <tlb::Access kAccess>
-    const DataMemoEntry *probeDataMemo(std::uint64_t vaddr) const;
-
-    /** Refill the memo after a successful slow-path access. */
-    void mintDataMemo(std::uint64_t vaddr, std::uint64_t paddr);
+    void invalidateDataMemo()
+    {
+        for (DataMemoEntry &entry : data_memo_)
+            entry.vline = ~0ULL;
+    }
 
     /** Raise a guest exception for the instruction at epc. */
     void raise(ExcCode code, std::uint64_t bad_vaddr = 0);
@@ -561,10 +547,18 @@ class Cpu : private cache::FetchInvalidationListener
     /**
      * TLB translation of a capability-checked, aligned data access
      * through capability register cap_index, charging the refill
-     * penalty. Returns false after raising the TLB exception.
+     * penalty; hint as for Tlb::translate. Returns false after raising
+     * the TLB exception. Inline (cpu.cc), so the access kind folds to a
+     * constant in each load/store body; the fault half is out of line.
      */
-    bool translateData(std::uint64_t vaddr, tlb::Access access,
-                       unsigned cap_index, std::uint64_t &paddr_out);
+    template <tlb::Access kAccess>
+    bool translateData(std::uint64_t vaddr, unsigned cap_index,
+                       std::uint64_t &paddr_out,
+                       tlb::Tlb::Handle *hint = nullptr);
+
+    /** Raise the exception for a failed data translation. */
+    void raiseTlbFault(tlb::TlbFault fault, tlb::Access access,
+                       std::uint64_t vaddr, unsigned cap_index);
 
     void execute(const isa::Instruction &inst);
     void executeCp2(const isa::Instruction &inst);
@@ -624,7 +618,7 @@ class Cpu : private cache::FetchInvalidationListener
     std::uint64_t decode_mint_counter_ = 0;
     std::size_t decode_index_mask_ = 0;
     std::vector<DecodedLine> decode_cache_;
-    tlb::Tlb::FetchHint fetch_hint_;
+    tlb::Tlb::Handle fetch_hint_;
 
     // Data fast path state.
     std::vector<DataMemoEntry> data_memo_;

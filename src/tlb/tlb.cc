@@ -23,7 +23,7 @@ Tlb::flush()
 {
     lru_.clear();
     cached_.clear();
-    ++generation_; // every outstanding FetchHint is now stale
+    ++generation_; // every outstanding Handle is now stale
 }
 
 void
@@ -39,41 +39,42 @@ Tlb::flushPage(std::uint64_t vaddr)
 }
 
 TlbResult
-Tlb::translateSlow(std::uint64_t vaddr, Access access)
+Tlb::translateSlow(std::uint64_t vaddr, Access access, Handle *hint)
 {
     std::uint64_t vpn = vaddr / kPageBytes;
+    Handle &memo = memo_[vpn & (memo_.size() - 1)];
+    std::uint64_t penalty = 0;
 
     auto it = cached_.find(vpn);
     if (it != cached_.end()) {
-        ++*hits_;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        memo_[vpn & (memo_.size() - 1)] =
-            TranslateMemo{vpn, generation_, &it->second};
-        return checkPte(it->second.pte, vaddr, access, 0);
+        memo = handleFor(vpn, it->second);
+        hit(memo);
+    } else {
+        ++*misses_;
+        std::optional<Pte> pte = table_->lookup(vpn);
+        if (!pte) {
+            ++*faults_;
+            TlbResult result;
+            result.fault = TlbFault::kNoMapping;
+            result.penalty_cycles = config_.refill_cycles;
+            return result;
+        }
+        if (cached_.size() >= config_.entries && !lru_.empty()) {
+            std::uint64_t victim = lru_.back();
+            lru_.pop_back();
+            cached_.erase(victim);
+            ++generation_;
+        }
+        lru_.push_front(vpn);
+        auto ins =
+            cached_.insert_or_assign(vpn, CachedEntry{*pte, lru_.begin()});
+        memo = handleFor(vpn, ins.first->second);
+        penalty = config_.refill_cycles;
     }
-
-    ++*misses_;
-    std::optional<Pte> pte = table_->lookup(vpn);
-    if (!pte) {
-        ++*faults_;
-        TlbResult result;
-        result.fault = TlbFault::kNoMapping;
-        result.penalty_cycles = config_.refill_cycles;
-        return result;
-    }
-
-    if (cached_.size() >= config_.entries && !lru_.empty()) {
-        std::uint64_t victim = lru_.back();
-        lru_.pop_back();
-        cached_.erase(victim);
-        ++generation_;
-    }
-    lru_.push_front(vpn);
-    auto ins =
-        cached_.insert_or_assign(vpn, CachedEntry{*pte, lru_.begin()});
-    memo_[vpn & (memo_.size() - 1)] =
-        TranslateMemo{vpn, generation_, &ins.first->second};
-    return checkPte(*pte, vaddr, access, config_.refill_cycles);
+    TlbResult result = check(memo, vaddr, access, penalty);
+    if (hint != nullptr && result.ok())
+        *hint = memo;
+    return result;
 }
 
 std::vector<std::uint64_t>
@@ -89,10 +90,9 @@ Tlb::corruptEntry(std::uint64_t vpn, const Pte &pte)
     if (it == cached_.end())
         return false;
     it->second.pte = pte;
-    // Drop every outstanding host hint/memo: they snapshot PTE fields
-    // at mint time, and the corruption must be observed consistently.
+    // Drop every outstanding handle: they copy PTE fields at mint
+    // time, and the corruption must be observed consistently.
     ++generation_;
-    memo_.fill(TranslateMemo{});
     return true;
 }
 
@@ -107,26 +107,10 @@ Tlb::copyStateFrom(const Tlb &other)
                                          std::prev(lru_.end())});
     }
     // The generation stays monotonic (never copied): outstanding
-    // hints hold CachedEntry pointers into the container we just
+    // handles hold CachedEntry pointers into the container we just
     // rebuilt, and only a fresh generation value keeps them all stale.
     ++generation_;
-    memo_.fill(TranslateMemo{});
     stats_.assignFrom(other.stats_);
-}
-
-TlbResult
-Tlb::translateFetchMiss(std::uint64_t vaddr, FetchHint &hint)
-{
-    std::uint64_t vpn = vaddr / kPageBytes;
-    TlbResult result = translate(vaddr, Access::kFetch);
-    if (result.ok()) {
-        auto it = cached_.find(vpn); // translate just (re)cached it
-        hint.vpn = vpn;
-        hint.paddr_base = it->second.pte.pfn * kPageBytes;
-        hint.generation = generation_;
-        hint.entry = &it->second;
-    }
-    return result;
 }
 
 } // namespace cheri::tlb

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/bits.h"
 #include "support/stats.h"
 #include "tlb/page_table.h"
 
@@ -73,6 +74,33 @@ struct TlbConfig
 };
 
 /**
+ * The fault an access of kind `access` takes on a page with `flags`,
+ * or kNone when the PTE grants it.
+ */
+constexpr TlbFault
+pteFault(const PteFlags &flags, Access access)
+{
+    switch (access) {
+      case Access::kFetch:
+        return flags.executable ? TlbFault::kNone
+                                : TlbFault::kNotExecutable;
+      case Access::kLoad:
+        return flags.readable ? TlbFault::kNone : TlbFault::kNotReadable;
+      case Access::kStore:
+        return flags.writable ? TlbFault::kNone : TlbFault::kNotWritable;
+      case Access::kCapLoad:
+        return !flags.readable  ? TlbFault::kNotReadable
+               : !flags.cap_load ? TlbFault::kCapLoadDenied
+                                 : TlbFault::kNone;
+      case Access::kCapStore:
+        return !flags.writable   ? TlbFault::kNotWritable
+               : !flags.cap_store ? TlbFault::kCapStoreDenied
+                                  : TlbFault::kNone;
+    }
+    return TlbFault::kNone;
+}
+
+/**
  * Fully associative, LRU-replaced TLB backed by a PageTable.
  *
  * Stats: "tlb.hits", "tlb.misses", "tlb.faults".
@@ -86,183 +114,90 @@ class Tlb
     explicit Tlb(const PageTable &table, TlbConfig config = {});
 
     /**
-     * Translate vaddr for the given access kind. Inline: the memo-hit
-     * path (the common case on the interpreter's per-access hot path)
-     * replays the full hit — stat bump, LRU move, permission check —
-     * without a cross-TU call; everything else falls through to
-     * translateSlow.
+     * A host-side shortcut to one cached entry: its page, frame and
+     * PTE flags as copied when the handle was minted. A handle is
+     * current while no cached entry has been dropped or rewritten
+     * since (flush, flushPage, setTable, a capacity eviction,
+     * corruptEntry and copyStateFrom all bump the generation), so a
+     * current handle's entry pointer is live and its copies match the
+     * entry. Callers keep one per stream they translate (the CPU's
+     * fetch stream, each data-memo line); the TLB keeps a table of
+     * them for callers that hold none. Default-constructed handles
+     * are never current.
      */
-    TlbResult
-    translate(std::uint64_t vaddr, Access access)
-    {
-        std::uint64_t vpn = vaddr / kPageBytes;
-        TranslateMemo &memo = memo_[vpn & (memo_.size() - 1)];
-        if (memo.generation == generation_ && memo.vpn == vpn) {
-            // Replay of the hit path in translateSlow without the
-            // hash find; the splice guard is a no-op difference
-            // (front-to-front splices do nothing).
-            ++*hits_;
-            auto &lru_it = memo.entry->lru_it;
-            if (lru_.begin() != lru_it)
-                lru_.splice(lru_.begin(), lru_, lru_it);
-            return checkPte(memo.entry->pte, vaddr, access, 0);
-        }
-        return translateSlow(vaddr, access);
-    }
-
-    /**
-     * Caller-held accelerator for instruction-fetch translations.
-     * Sequential fetches hit the same page almost every cycle, so the
-     * CPU keeps one of these per fetch stream and translateFetch can
-     * skip the hash lookup while the hint is fresh. Hints are
-     * invalidated wholesale by a generation bump whenever any cached
-     * entry is dropped (flush, flushPage, setTable, or capacity
-     * eviction), so a stale hint can never alias a different page.
-     * Default-constructed hints never match and are always safe.
-     */
-    struct FetchHint
+    struct Handle
     {
         std::uint64_t vpn = ~0ULL;
-        std::uint64_t paddr_base = 0;
         std::uint64_t generation = ~0ULL;
         CachedEntry *entry = nullptr;
-    };
-
-    /**
-     * Translate vaddr for instruction fetch, consulting and refreshing
-     * the hint. Exactly equivalent to translate(vaddr, kFetch) in
-     * stats, LRU state, penalty cycles, and result — the hint only
-     * short-circuits the host-side hash find on the hit path. Inline:
-     * this runs once per simulated instruction.
-     */
-    TlbResult
-    translateFetch(std::uint64_t vaddr, FetchHint &hint)
-    {
-        std::uint64_t vpn = vaddr / kPageBytes;
-        if (hint.generation == generation_ && hint.vpn == vpn) {
-            // Replay of the translate() hit path: same stat bump, same
-            // LRU outcome (splicing the front element to the front is
-            // a no-op, so the guard below changes nothing observable),
-            // zero penalty. checkPte is skipped because the hint is
-            // only minted for entries that passed the executable
-            // check, and cached PTEs never mutate in place.
-            ++*hits_;
-            auto &lru_it = hint.entry->lru_it;
-            if (lru_.begin() != lru_it)
-                lru_.splice(lru_.begin(), lru_, lru_it);
-            TlbResult result;
-            result.paddr = hint.paddr_base + vaddr % kPageBytes;
-            return result;
-        }
-        return translateFetchMiss(vaddr, hint);
-    }
-
-    /**
-     * Mint a fetch hint for the page containing vaddr if it is
-     * currently cached with execute permission. Pure host-side probe
-     * (no stats, no LRU movement, no penalty): the superblock tier
-     * uses it at block mint/entry so a block on a page the fetch
-     * stream has not touched recently can still validate its
-     * translation without simulated effects. The executable check
-     * matters — hints skip checkPte on replay, so one may only be
-     * minted for entries that would pass it.
-     */
-    bool probeFetchHint(std::uint64_t vaddr, FetchHint &hint)
-    {
-        auto it = cached_.find(vaddr / kPageBytes);
-        if (it == cached_.end() || !it->second.pte.flags.executable)
-            return false;
-        hint.vpn = vaddr / kPageBytes;
-        hint.paddr_base = it->second.pte.pfn * kPageBytes;
-        hint.generation = generation_;
-        hint.entry = &it->second;
-        return true;
-    }
-
-    /**
-     * Replay the LRU half of the translateFetch() hit path for a
-     * still-valid hint (caller checked the generation): same LRU
-     * outcome, zero penalty. checkPte is skipped for the same reason
-     * translateFetch skips it — hints are only minted for entries
-     * that passed the executable check and cached PTEs never mutate
-     * in place. The stat half is deferred: the superblock tier counts
-     * hits locally and settles them through applyDeferredFetchHits on
-     * block exit, so the TLB hit counter and LRU order stay
-     * bit-identical to the per-instruction path at every commit
-     * boundary.
-     */
-    void replayFetchHitLru(const FetchHint &hint)
-    {
-        auto &lru_it = hint.entry->lru_it;
-        if (lru_.begin() != lru_it)
-            lru_.splice(lru_.begin(), lru_, lru_it);
-    }
-
-    /**
-     * Settle n deferred fetch hits counted by the superblock tier.
-     * Pure counter arithmetic — increments commute with the data-side
-     * translations that may have interleaved, so the total equals n
-     * individual bumps at the original points.
-     */
-    void applyDeferredFetchHits(std::uint64_t n) { *hits_ += n; }
-
-    /**
-     * Caller-held memo for data-side translations — the CPU's data
-     * fast path keeps one per memoized line. Like FetchHint it is
-     * guarded by the generation counter, so any flush, flushPage,
-     * setTable (address-space / ASID change) or capacity eviction
-     * invalidates every outstanding hint wholesale. Unlike FetchHint
-     * it additionally snapshots the PTE permission flags at mint time
-     * (cached PTEs never mutate in place), so the holder can pick the
-     * bit its access kind needs and fall back to the slow path — which
-     * replays the hit *and* the fault — when it is clear.
-     */
-    struct DataHint
-    {
-        std::uint64_t paddr_base = 0;
-        std::uint64_t generation = ~0ULL;
-        CachedEntry *entry = nullptr;
+        std::uint64_t frame_base = 0;
         PteFlags flags{};
     };
 
-    /** Host-side generation guarding caller-held hints: a hint whose
-     *  generation still equals this points at its live entry. */
-    std::uint64_t generation() const { return generation_; }
+    /** True while the handle names its live entry. */
+    bool current(const Handle &handle) const
+    {
+        return handle.generation == generation_;
+    }
 
     /**
-     * Mint a data hint for the page containing vaddr if it is
-     * currently cached. Pure host-side probe: no stats, no LRU
-     * movement, no penalty — call it after a successful translate()
-     * so the simulated effects have already been counted.
+     * Translate vaddr for the given access kind. A hint that is current
+     * for the page and whose flags grant the access replays the hit
+     * (stat bump, LRU move) right here; failing that the memo slot for
+     * the page does, with the PTE check; anything else falls through
+     * to translateSlow. A successful translation re-mints the hint, a
+     * failed one leaves it untouched. The hint half is forced inline,
+     * so the access kind folds to a constant on the CPU's per-access
+     * hot path.
      */
-    bool probeDataHint(std::uint64_t vaddr, DataHint &hint)
+    CHERI_FORCE_INLINE TlbResult
+    translate(std::uint64_t vaddr, Access access, Handle *hint = nullptr)
+    {
+        std::uint64_t vpn = vaddr / kPageBytes;
+        if (hint != nullptr && hint->vpn == vpn && current(*hint) &&
+            pteFault(hint->flags, access) == TlbFault::kNone) {
+            hit(*hint);
+            TlbResult result;
+            result.paddr = hint->frame_base + vaddr % kPageBytes;
+            return result;
+        }
+        return translateMemo(vaddr, access, hint);
+    }
+
+    /**
+     * Mint a handle for the page containing vaddr if it is cached and
+     * its PTE grants the access. Pure host-side probe: no stats, no LRU
+     * movement, no penalty — the superblock tier uses it at block mint
+     * and entry, where nothing simulated has happened yet.
+     */
+    bool
+    probe(std::uint64_t vaddr, Access access, Handle &out)
     {
         auto it = cached_.find(vaddr / kPageBytes);
-        if (it == cached_.end())
+        if (it == cached_.end() ||
+            pteFault(it->second.pte.flags, access) != TlbFault::kNone)
             return false;
-        hint.paddr_base = it->second.pte.pfn * kPageBytes;
-        hint.generation = generation_;
-        hint.entry = &it->second;
-        hint.flags = it->second.pte.flags;
+        out = handleFor(it->first, it->second);
         return true;
     }
 
     /**
-     * Replay the translate() hit path for an entry named by a
-     * still-valid hint (caller checked generation and the permission
-     * bit): same stat bump, same LRU outcome, zero penalty. checkPte
-     * is skipped for exactly the reason translateFetch may skip it —
-     * the flags snapshot was taken from the live entry and cached
-     * PTEs never mutate in place. Inline: this runs once per
-     * memoized data access.
+     * The LRU half of a hit on a current handle's entry. The
+     * superblock tier replays each fetch as a touch and settles the
+     * stat half through countHits on block exit, so the hit counter and
+     * the LRU order match the per-instruction path at every commit
+     * boundary.
      */
-    void replayHit(const DataHint &hint)
+    void
+    touch(const Handle &handle)
     {
-        ++*hits_;
-        auto &lru_it = hint.entry->lru_it;
+        auto &lru_it = handle.entry->lru_it;
         if (lru_.begin() != lru_it)
             lru_.splice(lru_.begin(), lru_, lru_it);
     }
+
+    /** Settle n hits whose LRU half was replayed by touch. */
+    void countHits(std::uint64_t n) { *hits_ += n; }
 
     /**
      * Side-effect-free translation probe for the cache prefetcher: if
@@ -270,8 +205,8 @@ class Tlb
      * readable, produce the physical address. No stats, no LRU
      * movement, no page-table refill, and no fault — a prefetch is a
      * hint, so a miss simply returns false. Residency at any demand
-     * miss point is host-tier invariant (the fast-path replays
-     * maintain hits, LRU, and evictions identically), so prefetch
+     * miss point is host-tier invariant (hits through handles maintain
+     * hits, LRU, and evictions identically), so prefetch
      * decisions gated on this probe cannot diverge across tiers.
      */
     bool
@@ -307,63 +242,71 @@ class Tlb
 
     /**
      * Overwrite the cached PTE for vpn (fault injection). Bumps the
-     * generation and clears the memo so every outstanding host hint is
-     * dropped and all subsequent translations consistently observe the
-     * corrupted entry. Returns false when vpn is not cached.
+     * generation, so every outstanding handle, whose flags and frame
+     * copy the old PTE, is dropped and all subsequent translations
+     * consistently observe the corrupted entry. Returns false when vpn
+     * is not cached.
      */
     bool corruptEntry(std::uint64_t vpn, const Pte &pte);
 
     /**
      * Copy other's cached entries (LRU order kept) and statistics;
      * the backing PageTable is copied separately by its owner. Bumps
-     * the generation and clears the memo, so host-side hints re-mint
-     * through the slow path — which replays hits exactly, leaving
-     * counters unperturbed.
+     * the generation, so handles re-mint through the slow path —
+     * which replays hits exactly, leaving counters unperturbed.
      */
     void copyStateFrom(const Tlb &other);
 
   private:
-    /** Out-of-line halves of translate/translateFetch. */
-    TlbResult translateSlow(std::uint64_t vaddr, Access access);
-    TlbResult translateFetchMiss(std::uint64_t vaddr, FetchHint &hint);
-
-    /** Permission check + physical-address assembly for a cached or
-     *  freshly refilled PTE. Inline: runs on every translation. */
+    /**
+     * The memo half of translate. Not forced inline: callers that hold
+     * a hint reach it only when the hint is stale, while those that
+     * hold none (the reference tier, TimingContext) still inline it.
+     */
     TlbResult
-    checkPte(const Pte &pte, std::uint64_t vaddr, Access access,
-             std::uint64_t penalty)
+    translateMemo(std::uint64_t vaddr, Access access, Handle *hint)
+    {
+        std::uint64_t vpn = vaddr / kPageBytes;
+        const Handle &memo = memo_[vpn & (memo_.size() - 1)];
+        if (memo.vpn == vpn && current(memo)) {
+            hit(memo);
+            TlbResult result = check(memo, vaddr, access, 0);
+            if (hint != nullptr && result.ok())
+                *hint = memo;
+            return result;
+        }
+        return translateSlow(vaddr, access, hint);
+    }
+
+    /** Out-of-line half of translate: hash find, refill, fault. */
+    TlbResult translateSlow(std::uint64_t vaddr, Access access,
+                            Handle *hint);
+
+    Handle
+    handleFor(std::uint64_t vpn, CachedEntry &entry) const
+    {
+        return Handle{vpn, generation_, &entry, entry.pte.pfn * kPageBytes,
+                      entry.pte.flags};
+    }
+
+    /** A hit on a current handle's entry: stat bump and LRU move. */
+    CHERI_FORCE_INLINE void
+    hit(const Handle &handle)
+    {
+        ++*hits_;
+        touch(handle);
+    }
+
+    /** Permission check + physical-address assembly for a handle's
+     *  page. Inline: runs on every translation. */
+    TlbResult
+    check(const Handle &handle, std::uint64_t vaddr, Access access,
+          std::uint64_t penalty)
     {
         TlbResult result;
         result.penalty_cycles = penalty;
-        result.paddr = pte.pfn * kPageBytes + vaddr % kPageBytes;
-
-        const PteFlags &f = pte.flags;
-        switch (access) {
-          case Access::kFetch:
-            if (!f.executable)
-                result.fault = TlbFault::kNotExecutable;
-            break;
-          case Access::kLoad:
-            if (!f.readable)
-                result.fault = TlbFault::kNotReadable;
-            break;
-          case Access::kStore:
-            if (!f.writable)
-                result.fault = TlbFault::kNotWritable;
-            break;
-          case Access::kCapLoad:
-            if (!f.readable)
-                result.fault = TlbFault::kNotReadable;
-            else if (!f.cap_load)
-                result.fault = TlbFault::kCapLoadDenied;
-            break;
-          case Access::kCapStore:
-            if (!f.writable)
-                result.fault = TlbFault::kNotWritable;
-            else if (!f.cap_store)
-                result.fault = TlbFault::kCapStoreDenied;
-            break;
-        }
+        result.paddr = handle.frame_base + vaddr % kPageBytes;
+        result.fault = pteFault(handle.flags, access);
         if (result.fault != TlbFault::kNone)
             ++*faults_;
         return result;
@@ -381,27 +324,19 @@ class Tlb
     std::unordered_map<std::uint64_t, CachedEntry> cached_;
 
     /**
-     * Small direct-mapped memo in front of cached_ for data-side
-     * translations (the fetch side has its own caller-held hint).
-     * Guarded by the same generation as FetchHints; purely a host
-     * shortcut — the hit path replays the full translate() hit
-     * (stat, LRU, checkPte) so simulated behaviour is unchanged.
+     * Direct-mapped memo of handles in front of cached_, indexed by
+     * vpn, for callers that hold no handle of their own (the
+     * reference tier, TimingContext, debug accesses). 64 slots: the
+     * Olden working sets touch dozens of data pages and a 4-entry
+     * memo thrashed (over half of data translations fell through to
+     * the hash find).
      */
-    struct TranslateMemo
-    {
-        std::uint64_t vpn = ~0ULL;
-        std::uint64_t generation = ~0ULL;
-        CachedEntry *entry = nullptr;
-    };
-    // 64 slots: the Olden working sets touch dozens of data pages and
-    // a 4-entry memo thrashed (over half of data translations fell
-    // through to the hash find).
-    std::array<TranslateMemo, 64> memo_{};
+    std::array<Handle, 64> memo_{};
 
-    /** Bumped whenever any cached entry is erased; guards FetchHints.
-     *  CachedEntry pointers are stable under rehash and under
-     *  insert/erase of *other* keys, so a hint whose generation still
-     *  matches is guaranteed to point at its live entry. */
+    /** Bumped whenever any cached entry is erased or rewritten; guards
+     *  every Handle. CachedEntry pointers are stable under rehash and
+     *  under insert/erase of *other* keys, so a handle whose generation
+     *  still matches is guaranteed to point at its live entry. */
     std::uint64_t generation_ = 0;
 
     support::StatSet stats_;

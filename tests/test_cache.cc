@@ -251,5 +251,68 @@ TEST(Hierarchy, RandomizedDataConsistency)
         EXPECT_EQ(memory.store.readByte(addr), value);
 }
 
+/**
+ * A read, a store and a full-line write through a handle whose line
+ * was evicted cost exactly what the same access with no handle costs —
+ * counters, cycles and bytes — and re-point the handle at the line, so
+ * the next access through it replays the hit alike too.
+ */
+TEST(Hierarchy, StaleHandleCountsLikeNoHandle)
+{
+    // Four more lines 4 KB apart fill kLine's set in the 4-way L1D and
+    // evict it.
+    constexpr std::uint64_t kLine = 0x1040;
+    auto evict = [](CacheHierarchy &hierarchy, std::uint64_t &cycles) {
+        for (std::uint64_t k = 1; k <= 4; ++k)
+            hierarchy.read(kLine + k * 4096, 8, cycles);
+    };
+    enum class Access { kRead, kStore, kLineWrite };
+    for (Access access : {Access::kRead, Access::kStore,
+                          Access::kLineWrite}) {
+        SCOPED_TRACE(static_cast<int>(access));
+        TestMemory memory_with, memory_without;
+        CacheHierarchy with(memory_with.manager);
+        CacheHierarchy without(memory_without.manager);
+        std::uint64_t scratch = 0;
+        Cache::LineHandle handle;
+        with.read(kLine, 8, scratch, &handle);
+        without.read(kLine, 8, scratch);
+        ASSERT_TRUE(with.l1d().handleValid(handle));
+        evict(with, scratch);
+        evict(without, scratch);
+        ASSERT_FALSE(with.l1d().handleValid(handle));
+
+        for (std::uint64_t pass = 0; pass < 2; ++pass) { // stale, valid
+            std::uint64_t cycles_with = 0, cycles_without = 0;
+            mem::TaggedLine line;
+            line.data[3] = static_cast<std::uint8_t>(0x40 + pass);
+            line.tag = true;
+            switch (access) {
+              case Access::kRead:
+                EXPECT_EQ(with.read(kLine + 8, 8, cycles_with, &handle),
+                          without.read(kLine + 8, 8, cycles_without));
+                break;
+              case Access::kStore:
+                with.write(kLine + 8, 4, 0x1234 + pass, cycles_with,
+                           &handle);
+                without.write(kLine + 8, 4, 0x1234 + pass, cycles_without);
+                break;
+              case Access::kLineWrite:
+                with.writeCapLine(kLine, line, cycles_with, &handle);
+                without.writeCapLine(kLine, line, cycles_without);
+                break;
+            }
+            EXPECT_EQ(cycles_with, cycles_without) << "pass " << pass;
+            EXPECT_TRUE(with.l1d().handleValid(handle));
+            EXPECT_EQ(with.collectStats().all(),
+                      without.collectStats().all());
+        }
+        mem::TaggedLine got = with.readCapLine(kLine, scratch);
+        mem::TaggedLine want = without.readCapLine(kLine, scratch);
+        EXPECT_EQ(got.data, want.data);
+        EXPECT_EQ(got.tag, want.tag);
+    }
+}
+
 } // namespace
 } // namespace cheri::cache

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cap/perms.h"
+#include "check/lockstep.h"
 #include "core/machine.h"
 #include "isa/assembler.h"
 
@@ -327,6 +331,52 @@ TEST(CheriCpu, CapLlScRoundTrip)
     ASSERT_EQ(guest.run().reason, StopReason::kBreak);
     EXPECT_EQ(guest.cpu().gpr(s0), 1u); // store-conditional success
     EXPECT_EQ(guest.cpu().gpr(s1), 42u);
+}
+
+/**
+ * A CSC breaks an LL reservation anywhere in the line it writes, as any
+ * store to the reserved address does; a CSC to another line leaves it
+ * standing. Checked at every host tier, free running and under the
+ * lockstep oracle, whose reference CPU must agree.
+ */
+TEST(CheriCpu, CapStoreBreaksLinkedReservation)
+{
+    Assembler a(kCodeBase);
+    a.li(t2, static_cast<std::int32_t>(kDataBase));
+    a.li(t3, static_cast<std::int32_t>(kDataBase + 8));
+    a.clld(v1, 0, t3);
+    a.csc(0, 0, t2, 0); // the reserved line
+    a.cscd(t1, 0, t3);  // fails: t1 = 0
+    a.clld(v1, 0, t3);
+    a.csc(0, 0, t2, 32); // the next line
+    a.cscd(s1, 0, t3);   // succeeds: s1 = 1
+    a.break_();
+    std::vector<std::uint32_t> text = a.finish();
+
+    for (HostTier tier : {HostTier::kReference, HostTier::kFast,
+                          HostTier::kSuperblock}) {
+        for (bool oracle : {false, true}) {
+            SCOPED_TRACE(std::string(hostTierName(tier)) +
+                         (oracle ? " under the oracle" : ""));
+            MachineConfig config;
+            config.accel.tier = tier;
+            Machine machine(config);
+            machine.mapRange(kDataBase, 64 * 1024);
+            machine.loadProgram(kCodeBase, text);
+            machine.reset(kCodeBase);
+            if (oracle) {
+                check::Lockstep lockstep(machine);
+                check::LockstepResult result = lockstep.run();
+                EXPECT_FALSE(result.diverged) << result.divergence;
+                EXPECT_TRUE(result.hit_break);
+            } else {
+                EXPECT_EQ(machine.cpu().run(1000).reason,
+                          StopReason::kBreak);
+            }
+            EXPECT_EQ(machine.cpu().gpr(t1), 0u);
+            EXPECT_EQ(machine.cpu().gpr(s1), 1u);
+        }
+    }
 }
 
 TEST(CheriCpu, CJalrSwitchesPccAfterDelaySlot)

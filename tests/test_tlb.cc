@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "tlb/page_table.h"
 #include "tlb/tlb.h"
 
@@ -189,6 +192,113 @@ TEST(Tlb, SetTableSwitchesAddressSpace)
     EXPECT_EQ(tlb.translate(0, Access::kLoad).paddr, kPageBytes);
     tlb.setTable(b);
     EXPECT_EQ(tlb.translate(0, Access::kLoad).paddr, 2 * kPageBytes);
+}
+
+/**
+ * A handle minted by a successful translation stays current while its
+ * entry cannot have changed, and every event that drops or rewrites a
+ * cached entry retires it; a failed translation leaves it untouched.
+ */
+TEST(Tlb, HandleStaysCurrentUntilItsEntryCanChange)
+{
+    PageTable table;
+    for (std::uint64_t vpn = 0; vpn < 8; ++vpn)
+        table.map(vpn, 100 + vpn, flagsAll());
+    PteFlags read_only;
+    read_only.writable = false;
+    table.map(8, 108, read_only);
+    Tlb tlb(table, TlbConfig{4, 30});
+
+    Tlb::Handle handle;
+    EXPECT_FALSE(tlb.current(handle)); // default handles never are
+    auto mint = [&] {
+        handle = Tlb::Handle{};
+        ASSERT_TRUE(tlb.translate(0x10, Access::kLoad, &handle).ok());
+        ASSERT_TRUE(tlb.current(handle));
+        EXPECT_EQ(handle.vpn, 0u);
+    };
+
+    mint();
+    EXPECT_EQ(handle.frame_base, 100 * kPageBytes);
+    EXPECT_TRUE(tlb.translate(kPageBytes, Access::kLoad).ok());
+    EXPECT_TRUE(tlb.translate(2 * kPageBytes, Access::kStore).ok());
+    EXPECT_TRUE(tlb.current(handle)) << "hits to other pages";
+    TlbResult hit = tlb.translate(0x123, Access::kStore, &handle);
+    EXPECT_TRUE(hit.ok());
+    EXPECT_EQ(hit.paddr, 100 * kPageBytes + 0x123);
+    EXPECT_EQ(hit.penalty_cycles, 0u);
+
+    tlb.flush();
+    EXPECT_FALSE(tlb.current(handle)) << "flush";
+    mint();
+    tlb.flushPage(0);
+    EXPECT_FALSE(tlb.current(handle)) << "flushPage of its page";
+    mint();
+    for (std::uint64_t vpn = 1; vpn <= 4; ++vpn)
+        tlb.translate(vpn * kPageBytes, Access::kLoad);
+    EXPECT_FALSE(tlb.current(handle)) << "capacity eviction";
+    mint();
+    tlb.setTable(table);
+    EXPECT_FALSE(tlb.current(handle)) << "setTable";
+    mint();
+    EXPECT_TRUE(tlb.corruptEntry(0, Pte{7, flagsAll()}));
+    EXPECT_FALSE(tlb.current(handle)) << "corruptEntry";
+    mint();
+    Tlb other(table);
+    tlb.copyStateFrom(other);
+    EXPECT_FALSE(tlb.current(handle)) << "copyStateFrom";
+
+    mint();
+    const Tlb::Handle before = handle;
+    EXPECT_EQ(tlb.translate(50 * kPageBytes, Access::kLoad, &handle).fault,
+              TlbFault::kNoMapping);
+    EXPECT_EQ(tlb.translate(8 * kPageBytes, Access::kStore, &handle).fault,
+              TlbFault::kNotWritable);
+    EXPECT_EQ(handle.vpn, before.vpn);
+    EXPECT_EQ(handle.generation, before.generation);
+    EXPECT_EQ(handle.entry, before.entry);
+    EXPECT_EQ(handle.frame_base, before.frame_base);
+}
+
+/**
+ * The same translations with and without caller-held hints give the
+ * same results, counters and LRU order: a hint is a host shortcut only.
+ * The sequence strides across more pages than the TLB holds, hits
+ * pages whose PTEs deny stores or capability loads and an unmapped
+ * page, and mixes a hint per page with one shared by every page.
+ */
+TEST(Tlb, HintedAndUnhintedTranslationsCountAlike)
+{
+    PageTable table;
+    for (std::uint64_t vpn = 0; vpn < 12; ++vpn) {
+        PteFlags flags;
+        flags.writable = vpn % 5 != 0;
+        flags.cap_load = vpn % 3 != 0;
+        table.map(vpn, 200 + vpn, flags);
+    }
+    Tlb plain(table, TlbConfig{4, 30});
+    Tlb hinted(table, TlbConfig{4, 30});
+    std::array<Tlb::Handle, 14> hints{}; // one per page, one shared
+
+    const Access kinds[] = {Access::kLoad, Access::kStore, Access::kCapLoad,
+                            Access::kFetch};
+    std::uint64_t x = 12345;
+    for (int i = 0; i < 4000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        std::uint64_t vpn = (x >> 33) % 13; // page 12 is unmapped
+        std::uint64_t vaddr = vpn * kPageBytes + (x >> 20) % kPageBytes;
+        Access access = kinds[(x >> 40) % 4];
+        TlbResult want = plain.translate(vaddr, access);
+        Tlb::Handle &hint = (x >> 50) % 4 == 0 ? hints[13] : hints[vpn];
+        TlbResult got = hinted.translate(vaddr, access, &hint);
+        ASSERT_EQ(got.fault, want.fault) << "step " << i;
+        ASSERT_EQ(got.paddr, want.paddr) << "step " << i;
+        ASSERT_EQ(got.penalty_cycles, want.penalty_cycles) << "step " << i;
+    }
+    EXPECT_EQ(hinted.stats().all(), plain.stats().all());
+    EXPECT_EQ(hinted.cachedVpns(), plain.cachedVpns());
+    EXPECT_GT(plain.stats().get("tlb.hits"), 1000u);
+    EXPECT_GT(plain.stats().get("tlb.faults"), 100u);
 }
 
 } // namespace
